@@ -1,25 +1,31 @@
-//! Checkpoint file inspection and corruption: the CI harness around the
-//! durable-checkpoint robustness guarantees.
+//! Checkpoint and journal inspection and corruption: the CI harness
+//! around the durable-checkpoint and journal robustness guarantees.
 //!
 //! ```text
-//! cargo run -p dimetrodon-bench --bin ckpt_tool -- info <file.ckpt>
-//! cargo run -p dimetrodon-bench --bin ckpt_tool -- flip <file.ckpt> <offset> [bit]
-//! cargo run -p dimetrodon-bench --bin ckpt_tool -- truncate <file.ckpt> <len>
-//! cargo run -p dimetrodon-bench --bin ckpt_tool -- torture <file.ckpt> [stride]
+//! cargo run -p dimetrodon-bench --bin ckpt_tool -- info <file>
+//! cargo run -p dimetrodon-bench --bin ckpt_tool -- flip <file> <offset> [bit]
+//! cargo run -p dimetrodon-bench --bin ckpt_tool -- truncate <file> <len>
+//! cargo run -p dimetrodon-bench --bin ckpt_tool -- torture <file> [stride]
 //! ```
 //!
-//! `info` verifies and summarizes a checkpoint (exit 1 on any decode
-//! error). `flip` and `truncate` corrupt a file **in place** — they
-//! exist so CI can damage a real checkpoint and assert the restore path
-//! fails loudly. `torture` applies every single-bit flip (thinned by the
-//! optional stride; default covers every byte of files up to 64 KiB)
-//! and every truncation length to an in-memory copy, and exits nonzero
-//! if the decoder accepts any corrupted image.
+//! Every command takes a checkpoint (`*.ckpt`) or a journal
+//! (`*.journal`), told apart by their magic. `info` verifies and
+//! summarizes a checkpoint (exit 1 on any decode error), or prints a
+//! journal's kind, version, fingerprint, count of verifying records, and
+//! the offset of the first frame that fails to verify (exit 1 only when
+//! the magic or header frame does not verify). `flip` and `truncate`
+//! corrupt a file **in place** — they exist so CI can damage a real file
+//! and assert the restore or resume path copes. `torture` applies every
+//! single-bit flip (thinned by the optional stride; default covers every
+//! byte of files up to 64 KiB) and every truncation length to an
+//! in-memory copy, and exits nonzero if the decoder accepts any
+//! corrupted checkpoint, or if any damaged journal replays anything but
+//! exactly the whole records before the damage.
 
 use std::process::ExitCode;
 
-use dimetrodon_ckpt::decode_checkpoint;
-use dimetrodon_faults::{torture_checkpoint, Corruption};
+use dimetrodon_ckpt::{decode_checkpoint, scan_journal, JOURNAL_MAGIC};
+use dimetrodon_faults::{torture_checkpoint, torture_journal, Corruption};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -41,7 +47,31 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let journal = bytes.starts_with(&JOURNAL_MAGIC);
     match cmd.as_str() {
+        "info" if journal => match scan_journal(&bytes) {
+            Ok(scan) => {
+                let first_bad = if scan.valid_len < bytes.len() {
+                    scan.valid_len.to_string()
+                } else {
+                    "none".to_string()
+                };
+                println!(
+                    "{path}: journal kind {} version {} fingerprint {:016x} records {} \
+                     first-bad-frame {first_bad} ({} bytes)",
+                    scan.header.kind,
+                    scan.header.version,
+                    scan.header.fingerprint,
+                    scan.records.len(),
+                    bytes.len()
+                );
+                ExitCode::SUCCESS
+            }
+            Err(err) => {
+                eprintln!("ckpt_tool: {path}: journal header: {err}");
+                ExitCode::FAILURE
+            }
+        },
         "info" => match decode_checkpoint(&bytes) {
             Ok((header, frames)) => {
                 println!(
@@ -98,10 +128,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "torture" => {
-            if decode_checkpoint(&bytes).is_err() {
-                eprintln!("ckpt_tool: {path} does not verify clean; torture needs a valid image");
-                return ExitCode::FAILURE;
-            }
             let stride = match args.get(2).and_then(|s| s.parse::<usize>().ok()) {
                 Some(stride) if stride > 0 => stride,
                 Some(_) => return usage(),
@@ -109,7 +135,20 @@ fn main() -> ExitCode {
                 // while still covering every frame.
                 None => (bytes.len() / 65_536).max(1),
             };
-            let report = torture_checkpoint(&bytes, stride);
+            let report = if journal {
+                torture_journal(&bytes, stride)
+            } else {
+                decode_checkpoint(&bytes).map(|_| torture_checkpoint(&bytes, stride))
+            };
+            let report = match report {
+                Ok(report) => report,
+                Err(err) => {
+                    eprintln!(
+                        "ckpt_tool: {path} does not verify clean ({err}); torture needs a valid image"
+                    );
+                    return ExitCode::FAILURE;
+                }
+            };
             println!(
                 "{path}: {} corruption(s), {} rejected, {} accepted",
                 report.cases,

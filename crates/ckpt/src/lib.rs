@@ -1,24 +1,28 @@
-//! Durable, versioned, checksummed checkpoint format.
+//! Durable, versioned, checksummed persistence: mid-run checkpoints and
+//! append-only journals, both built from one frame layout.
 //!
-//! The journals (sweep, fleet, chaos) make *completed* points
-//! crash-resumable; this crate makes the *in-flight* point durable. A
-//! checkpoint file is a sequence of framed records:
+//! The journals ([`Journal`]: sweep, fleet, chaos) make *completed*
+//! points crash-resumable; checkpoints make the *in-flight* point
+//! durable. Both files are sequences of framed records:
 //!
 //! ```text
-//! magic "DMTRCKPT" (8 bytes)
-//! CKPT_FORMAT_VERSION (u32 LE)
-//! frame*              (header frame first, then state frames)
-//! frame := len (u32 LE) | payload (len bytes) | fnv1a64(payload) (u64 LE)
+//! checkpoint := magic "DMTRCKPT" (8 bytes) | CKPT_FORMAT_VERSION (u32 LE)
+//!               | frame* (header frame first, then state frames)
+//! journal    := magic "DMTRJRNL" (8 bytes)
+//!               | frame(kind bytes, JOURNAL_FORMAT_VERSION u32, fingerprint u64)
+//!               | frame* (one record per completed unit)
+//! frame      := len (u32 LE) | payload (len bytes) | fnv1a64(payload) (u64 LE)
 //! ```
 //!
-//! and ends at exactly the last frame's checksum — trailing bytes are a
-//! format error, which is what makes a shrunken length field structurally
-//! detectable rather than probabilistically so. The mandatory first frame
-//! carries the owning run's config fingerprint and the checkpoint
-//! sequence number, so a checkpoint can never restore into a different
-//! configuration. Floats are serialized as IEEE-754 bit patterns
-//! (see [`Enc::f64`]), so a decoded state is *bit-identical* to the
-//! encoded one — the same discipline the journals use.
+//! A checkpoint ends at exactly the last frame's checksum — trailing bytes
+//! are a format error, which is what makes a shrunken length field
+//! structurally detectable rather than probabilistically so. Its mandatory
+//! first frame carries the owning run's config fingerprint and the
+//! checkpoint sequence number, so a checkpoint can never restore into a
+//! different configuration. A journal instead keeps its longest prefix of
+//! frames that verify (see [`Journal::open`]). Floats are serialized as
+//! IEEE-754 bit patterns (see [`Enc::f64`]), so a decoded value is
+//! *bit-identical* to the encoded one.
 //!
 //! Corruption tolerance is by construction, not by luck:
 //!
@@ -39,6 +43,12 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+mod journal;
+
+pub use journal::{
+    scan_journal, Journal, JournalHeader, JournalScan, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
+};
 
 /// Identifies a checkpoint file; the first 8 bytes on disk.
 pub const CKPT_MAGIC: [u8; 8] = *b"DMTRCKPT";
@@ -426,6 +436,22 @@ fn push_frame(bytes: &mut Vec<u8>, payload: &[u8]) {
     bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
 }
 
+/// Verifies the frame at the front of `bytes` and splits it off: returns
+/// its payload and the bytes after it.
+fn read_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), CkptError> {
+    let (len_bytes, rest) = bytes.split_first_chunk::<4>().ok_or(CkptError::Truncated)?;
+    let len = u32::from_le_bytes(*len_bytes) as usize;
+    if rest.len() < len {
+        return Err(CkptError::Truncated);
+    }
+    let (payload, rest) = rest.split_at(len);
+    let (sum, rest) = rest.split_first_chunk::<8>().ok_or(CkptError::Truncated)?;
+    if fnv1a64(payload) != u64::from_le_bytes(*sum) {
+        return Err(CkptError::ChecksumMismatch);
+    }
+    Ok((payload, rest))
+}
+
 /// Parses and fully verifies a checkpoint file: magic, version, every
 /// frame checksum, and the exact-EOF rule. Returns the header and the
 /// state frame payloads (the header frame is not included).
@@ -448,27 +474,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CkptHeader, Vec<Vec<u8>>), Ckp
     let mut rest = &bytes[CKPT_MAGIC.len() + 4..];
     let mut frames = Vec::new();
     while !rest.is_empty() {
-        if rest.len() < 4 {
-            return Err(CkptError::Truncated);
-        }
-        let mut len_bytes = [0u8; 4];
-        len_bytes.copy_from_slice(&rest[..4]);
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let frame_end = 4usize
-            .checked_add(len)
-            .and_then(|n| n.checked_add(8))
-            .ok_or(CkptError::Truncated)?;
-        if rest.len() < frame_end {
-            return Err(CkptError::Truncated);
-        }
-        let payload = &rest[4..4 + len];
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(&rest[4 + len..frame_end]);
-        if fnv1a64(payload) != u64::from_le_bytes(sum_bytes) {
-            return Err(CkptError::ChecksumMismatch);
-        }
+        let (payload, after) = read_frame(rest)?;
         frames.push(payload.to_vec());
-        rest = &rest[frame_end..];
+        rest = after;
     }
     let mut iter = frames.into_iter();
     let header_payload = iter.next().ok_or(CkptError::Truncated)?;

@@ -1,6 +1,6 @@
-//! Deterministic checkpoint corruption: the torture generator behind
-//! the durable-checkpoint robustness tests and the `ckpt_tool torture`
-//! CLI.
+//! Deterministic checkpoint and journal corruption: the torture
+//! generator behind the durable-checkpoint robustness tests and the
+//! `ckpt_tool torture` CLI.
 //!
 //! A checkpoint's corruption-tolerance claim is universally quantified —
 //! *every* single-bit flip and *every* truncation length must be
@@ -8,13 +8,16 @@
 //! corruption space instead of sampling it. For large files a stride
 //! thins the bit-flip axis while still covering every frame; truncation
 //! is always exhaustive because the dangerous lengths (exact frame
-//! boundaries) cannot be predicted from outside the format.
+//! boundaries) cannot be predicted from outside the format. A journal's
+//! claim is just as universal but has a different shape: every damaged
+//! image must replay exactly the whole records before the damage.
 //!
-//! Everything here is pure byte manipulation: the generator neither
+//! The corruptions are pure byte manipulation: the generator neither
 //! reads the format nor depends on it, which is exactly what makes it a
-//! fair adversary.
+//! fair adversary. Only the journal check reads the *intact* image, to
+//! learn where its records end.
 
-use dimetrodon_ckpt::decode_checkpoint;
+use dimetrodon_ckpt::{decode_checkpoint, scan_journal, CkptError};
 
 /// One way to corrupt a checkpoint image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,14 +85,16 @@ pub fn corruptions(bytes: usize, flip_stride: usize) -> Vec<Corruption> {
     cases
 }
 
-/// The outcome of a torture run over one checkpoint image.
+/// The outcome of a torture run over one checkpoint or journal image.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TortureReport {
     /// Corruptions applied.
     pub cases: u64,
-    /// Corruptions rejected with a typed decode error (the good path).
+    /// Corruptions the decoder caught (the good path): a checkpoint
+    /// rejected with a typed error, a journal cut back to exactly the
+    /// records before the damage.
     pub rejected: u64,
-    /// Corruptions that still decoded — each one a silent-wrong-restore
+    /// Corruptions that got through — each one a silent-wrong-restore
     /// hazard. The offending cases, capped at 16 for reporting.
     pub accepted: Vec<String>,
 }
@@ -98,6 +103,15 @@ impl TortureReport {
     /// Whether every corruption was rejected.
     pub fn clean(&self) -> bool {
         self.accepted.is_empty()
+    }
+
+    fn record(&mut self, case: Corruption, caught: bool) {
+        self.cases += 1;
+        if caught {
+            self.rejected += 1;
+        } else if self.accepted.len() < 16 {
+            self.accepted.push(case.to_string());
+        }
     }
 }
 
@@ -109,24 +123,53 @@ impl TortureReport {
 pub fn torture_checkpoint(image: &[u8], flip_stride: usize) -> TortureReport {
     let mut report = TortureReport::default();
     for case in corruptions(image.len(), flip_stride) {
-        let corrupted = case.apply(image);
-        report.cases += 1;
-        match decode_checkpoint(&corrupted) {
-            Err(_) => report.rejected += 1,
-            Ok(_) => {
-                if report.accepted.len() < 16 {
-                    report.accepted.push(case.to_string());
-                }
-            }
-        }
+        report.record(case, decode_checkpoint(&case.apply(image)).is_err());
     }
     report
+}
+
+/// Runs every corruption of an intact journal `image` (bit flips thinned
+/// by `flip_stride`) through the journal reader and reports which, if
+/// any, did **not** replay exactly the whole records before the damage.
+/// A flip damages its byte and a cut damages the byte at the cut, so the
+/// records that must survive are those whose frames end at or before
+/// that offset, bit-equal to the originals, under the original header;
+/// damage in the magic or header frame must leave no records at all.
+///
+/// # Errors
+///
+/// The reader's error when `image` is not a journal, and
+/// [`CkptError::Malformed`] when it is one with a damaged tail: the
+/// expectations are read off the intact image.
+pub fn torture_journal(image: &[u8], flip_stride: usize) -> Result<TortureReport, CkptError> {
+    let intact = scan_journal(image)?;
+    if intact.valid_len != image.len() {
+        return Err(CkptError::Malformed(format!(
+            "journal fails to verify at byte {}",
+            intact.valid_len
+        )));
+    }
+    let mut report = TortureReport::default();
+    for case in corruptions(image.len(), flip_stride) {
+        let damaged_at = match case {
+            Corruption::BitFlip { offset, .. } => offset,
+            Corruption::Truncate { len } => len,
+        };
+        let survivors = intact.record_ends.iter().filter(|&&end| end <= damaged_at).count();
+        let replayed = scan_journal(&case.apply(image))
+            .ok()
+            .filter(|scan| scan.header == intact.header)
+            .map(|scan| scan.records)
+            .unwrap_or_default();
+        report.record(case, replayed == intact.records[..survivors]);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dimetrodon_ckpt::{encode_checkpoint, CkptHeader, Enc};
+    use dimetrodon_ckpt::{encode_checkpoint, CkptHeader, Enc, Journal};
 
     fn sample_image() -> Vec<u8> {
         let mut a = Enc::new();
@@ -183,6 +226,28 @@ mod tests {
         assert_eq!(flipped[3] ^ image[3], 1 << 5);
         let cut = Corruption::Truncate { len: 4 }.apply(&image);
         assert_eq!(cut, &image[..4]);
+    }
+
+    #[test]
+    fn every_corruption_of_a_real_journal_keeps_exactly_the_records_before_it() {
+        let path = std::env::temp_dir()
+            .join(format!("dimetrodon-torture-{}", std::process::id()))
+            .join("unit.journal");
+        let (journal, _) = Journal::open(&path, "unit", 0xFEED_BEEF, false);
+        for i in 0..3u64 {
+            let mut record = Enc::new();
+            record.u64(i);
+            record.f64_slice(&[0.25, -0.5, 3.75]);
+            journal.append(&record.into_bytes());
+        }
+        let image = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        let report = torture_journal(&image, 1).unwrap();
+        assert_eq!(report.cases, 9 * image.len() as u64);
+        assert!(report.clean(), "damage got through: {:?}", report.accepted);
+        // A torn image is not a torture subject.
+        assert!(torture_journal(&image[..image.len() - 1], 1).is_err());
+        assert!(torture_journal(&sample_image(), 1).is_err());
     }
 
     #[test]

@@ -34,7 +34,9 @@ mod plan;
 mod sensor;
 mod telemetry;
 
-pub use ckpt_torture::{corruptions, torture_checkpoint, Corruption, TortureReport};
+pub use ckpt_torture::{
+    corruptions, torture_checkpoint, torture_journal, Corruption, TortureReport,
+};
 pub use fleet_plan::{
     CrashBacklog, FleetFaultEvent, FleetFaultKind, FleetFaultPlan, FleetTarget,
 };

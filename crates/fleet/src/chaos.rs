@@ -18,8 +18,8 @@
 //! intensities, or the base config, and stale journals stop replaying.
 
 use dimetrodon_analysis::Table;
+use dimetrodon_ckpt::fnv1a64;
 use dimetrodon_faults::FleetFaultPlan;
-use dimetrodon_harness::supervise::fnv1a64;
 use dimetrodon_harness::sweep::{jobs, parallel_map_with};
 
 use crate::config::FleetConfig;

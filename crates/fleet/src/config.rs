@@ -1,8 +1,8 @@
 //! Fleet configuration and its explicit byte fingerprint.
 
+use dimetrodon_ckpt::fnv1a64;
 use dimetrodon_faults::FleetFaultPlan;
 use dimetrodon_harness::snapshot::machine_config_bytes;
-use dimetrodon_harness::supervise::fnv1a64;
 use dimetrodon_machine::{MachineConfig, ThermalTrip};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::WebConfig;
@@ -207,8 +207,8 @@ impl FleetConfig {
         u64_field(self.migration_hysteresis_celsius.to_bits());
         u64_field(self.seed);
         // The chaos section only exists when a plan is scheduled: an empty
-        // plan must hash exactly like a pre-chaos config, so journals
-        // written before the chaos layer existed still resume.
+        // plan must hash exactly like a pre-chaos config, so a config
+        // without chaos keeps the fingerprint it had before the layer.
         if !self.chaos.is_empty() {
             let plan = self.chaos.identity_bytes();
             bytes.extend_from_slice(&(plan.len() as u64).to_le_bytes());

@@ -1,22 +1,25 @@
-//! The fleet comparison's crash-resumable journal.
+//! The fleet comparison's and chaos sweep's crash-resumable journals.
 //!
-//! Same discipline as the sweep supervisor's journal (`results/.journal/`,
-//! one text line per completed unit, floats as 16-hex-digit IEEE-754 bit
-//! patterns, a truncated final line silently dropped), but the unit is a
-//! whole policy variant: one line carries every rack report of one
-//! [`PolicyKind`](crate::PolicyKind) run. Lines are independent and keyed
-//! by variant index, so worker threads may append in completion order and
-//! a resumed comparison still reassembles results in variant order.
+//! Both are [`dimetrodon_ckpt::Journal`]s under `results/.journal/`: an
+//! append-only log of checksummed frames, one record per completed unit,
+//! floats as IEEE-754 bit patterns. The unit of the fleet journal is a
+//! whole policy variant (every rack report of one
+//! [`PolicyKind`](crate::PolicyKind) run); the unit of the chaos journal
+//! is one (intensity, policy) grid point. Records are keyed by variant or
+//! point index, so worker threads may append in completion order and a
+//! resumed run still reassembles results in order. A torn or bit-flipped
+//! record ends the replayed prefix: that record and the ones after it
+//! are recomputed, never replayed with a changed value.
 //!
 //! The file name embeds [`FleetConfig::fingerprint`](crate::FleetConfig::fingerprint)
-//! — the explicit byte-serialized identity, not a `Debug` rendering — so a
+//! or [`ChaosGrid::fingerprint`] — explicit byte-serialized identities,
+//! not `Debug` renderings — and the header frame repeats it, so a
 //! journal can never be replayed against a config it does not describe.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+
+use dimetrodon_ckpt::{CkptError, Dec, Enc, Journal};
 
 use crate::chaos::ChaosGrid;
 use crate::policy::PolicyKind;
@@ -27,187 +30,37 @@ pub fn journal_path(dir: &Path, config_fingerprint: u64) -> PathBuf {
     dir.join(format!("fleet-{config_fingerprint:016x}.journal"))
 }
 
-/// Serializes one completed variant as a single journal line (no trailing
-/// newline). Exposed for the journal property tests.
-///
-/// Format, whitespace-separated:
-///
-/// ```text
-/// variant <index> <policy-name> <n-racks> <rack> <rack> ...
-/// ```
-///
-/// where each `<rack>` is
-/// `machines:peak:rms:trips:requests:good:p99`, floats as full-width hex
-/// bit patterns and an absent p99 as `-`. The up-front rack count is what
-/// makes SIGKILL truncation detectable: a line with fewer rack tokens
-/// than it declares never decodes.
-pub fn encode_entry(variant: usize, policy: &str, reports: &[RackReport]) -> String {
-    let mut line = format!("variant {variant} {policy} {}", reports.len());
-    for report in reports {
-        let p99 = match report.p99_latency_s {
-            Some(v) => format!("{:016x}", v.to_bits()),
-            None => "-".to_string(),
-        };
-        line.push_str(&format!(
-            " {}:{:016x}:{:016x}:{}:{}:{:016x}:{}",
-            report.machines,
-            report.peak_celsius.to_bits(),
-            report.rms_celsius.to_bits(),
-            report.trips,
-            report.requests,
-            report.good_fraction.to_bits(),
-            p99,
-        ));
-    }
-    line
-}
-
-/// Parses a full-width (16-digit) hex f64 bit pattern; the fixed width
-/// rejects truncation.
-fn parse_hex_f64(token: &str) -> Option<f64> {
-    if token.len() != 16 {
-        return None;
-    }
-    let value = f64::from_bits(u64::from_str_radix(token, 16).ok()?);
-    value.is_finite().then_some(value)
-}
-
-/// Parses one journal line back into `(variant, policy name, reports)`.
-/// Returns `None` for comments, blanks, and malformed or truncated lines.
-/// Exposed for the journal property tests.
-pub fn decode_entry(line: &str) -> Option<(usize, String, Vec<RackReport>)> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return None;
-    }
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() < 4 || tokens[0] != "variant" {
-        return None;
-    }
-    let variant: usize = tokens[1].parse().ok()?;
-    let policy = tokens[2].to_string();
-    let racks: usize = tokens[3].parse().ok()?;
-    if tokens.len() != 4 + racks {
-        return None;
-    }
-    let mut reports = Vec::with_capacity(racks);
-    for (rack, token) in tokens[4..].iter().enumerate() {
-        let fields: Vec<&str> = token.split(':').collect();
-        if fields.len() != 7 {
-            return None;
-        }
-        reports.push(RackReport {
-            rack,
-            machines: fields[0].parse().ok()?,
-            peak_celsius: parse_hex_f64(fields[1])?,
-            rms_celsius: parse_hex_f64(fields[2])?,
-            trips: fields[3].parse().ok()?,
-            requests: fields[4].parse().ok()?,
-            good_fraction: parse_hex_f64(fields[5])?,
-            p99_latency_s: match fields[6] {
-                "-" => None,
-                hex => Some(parse_hex_f64(hex)?),
-            },
-        });
-    }
-    Some((variant, policy, reports))
-}
-
-/// A fleet comparison's journal: replayed entries loaded at open, live
-/// appends flushed line-at-a-time so a SIGKILL costs at most the line
-/// being written.
+/// A fleet comparison's journal: replayed variants loaded at open, live
+/// appends one frame per completed variant.
 #[derive(Debug)]
 pub struct FleetJournal {
-    path: PathBuf,
+    journal: Journal,
     entries: BTreeMap<usize, Vec<RackReport>>,
-    /// `None` once an I/O error has disabled journaling (the comparison
-    /// itself must keep going; resumability is best-effort).
-    file: Mutex<Option<File>>,
 }
 
 impl FleetJournal {
     /// Opens the journal for `config_fingerprint` inside `dir`.
     ///
-    /// With `resume` set, every decodable entry whose variant index names
-    /// a known [`PolicyKind`] with a matching name is loaded for replay,
-    /// the file is healed to that valid prefix (a SIGKILL can leave a
-    /// torn, newline-less tail that would otherwise corrupt the next
-    /// append), and new entries append after it. Without `resume`, any
-    /// stale journal is truncated and the comparison starts fresh. I/O
-    /// failures disable journaling with a warning instead of failing the
-    /// run.
+    /// With `resume` set, every record of the longest verifying prefix
+    /// whose variant index names a known [`PolicyKind`] with a matching
+    /// name is loaded for replay, and new records append after that
+    /// prefix. Without `resume`, any stale journal is truncated and the
+    /// comparison starts fresh. I/O failures disable journaling with a
+    /// warning instead of failing the run.
     pub fn open(dir: &Path, config_fingerprint: u64, resume: bool) -> FleetJournal {
         let path = journal_path(dir, config_fingerprint);
-        let mut entries = BTreeMap::new();
-        if resume {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines() {
-                    if let Some((variant, policy, reports)) = decode_entry(line) {
-                        let known = PolicyKind::ALL
-                            .get(variant)
-                            .is_some_and(|kind| kind.name() == policy);
-                        if known {
-                            // Later entries win, matching append order.
-                            entries.insert(variant, reports);
-                        }
-                    }
-                }
-            }
-        }
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create journal dir {}: {err}", dir.display());
-            return FleetJournal {
-                path,
-                entries,
-                file: Mutex::new(None),
-            };
-        }
-        // Always rewrite header + surviving entries: a SIGKILL can leave a
-        // torn, newline-less tail, and appending straight after it would
-        // corrupt the first new line. Healing the file to its valid
-        // prefix makes every append land on a line boundary.
-        let opened = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&path);
-        let file = match opened {
-            Ok(mut file) => {
-                let mut prefix = format!(
-                    "# dimetrodon fleet journal v1 config {config_fingerprint:016x}\n"
-                );
-                for (&variant, reports) in &entries {
-                    // A replayed variant's name is its index's by
-                    // construction of the `known` filter above.
-                    let name = PolicyKind::ALL[variant].name();
-                    prefix.push_str(&encode_entry(variant, name, reports));
-                    prefix.push('\n');
-                }
-                if let Err(err) = file.write_all(prefix.as_bytes()).and_then(|()| file.flush()) {
-                    eprintln!("warning: journal write failed ({err}); journaling disabled");
-                    None
-                } else {
-                    Some(file)
-                }
-            }
-            Err(err) => {
-                eprintln!(
-                    "warning: cannot open journal {}: {err}; journaling disabled",
-                    path.display()
-                );
-                None
-            }
-        };
-        FleetJournal {
-            path,
-            entries,
-            file: Mutex::new(file),
-        }
+        let (journal, records) = Journal::open(&path, "fleet", config_fingerprint, resume);
+        // Later records win, matching append order.
+        let entries = records
+            .iter()
+            .filter_map(|record| decode_variant(record).ok())
+            .collect();
+        FleetJournal { journal, entries }
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Variants loaded for replay at open.
@@ -215,26 +68,57 @@ impl FleetJournal {
         self.entries.len()
     }
 
-    /// The replayed reports for a variant, if its line survived.
+    /// The replayed reports for a variant, if its record survived.
     pub fn replayed(&self, variant: usize) -> Option<Vec<RackReport>> {
         self.entries.get(&variant).cloned()
     }
 
-    /// Appends one completed variant and flushes, so a SIGKILL immediately
-    /// after still finds the line on resume. Thread-safe; workers append
-    /// in completion order.
+    /// Appends one completed variant. Thread-safe; workers append in
+    /// completion order.
     pub fn append(&self, variant: usize, policy: &str, reports: &[RackReport]) {
-        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(file) = guard.as_mut() {
-            let mut line = encode_entry(variant, policy, reports);
-            line.push('\n');
-            let written = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-            if let Err(err) = written {
-                eprintln!("warning: journal write failed ({err}); journaling disabled");
-                *guard = None;
-            }
+        let mut enc = Enc::new();
+        enc.seq_len(variant);
+        enc.bytes(policy.as_bytes());
+        enc.seq_len(reports.len());
+        for report in reports {
+            enc.seq_len(report.machines);
+            enc.f64(report.peak_celsius);
+            enc.f64(report.rms_celsius);
+            enc.u64(report.trips);
+            enc.u64(report.requests);
+            enc.f64(report.good_fraction);
+            enc.opt_f64(report.p99_latency_s);
         }
+        self.journal.append(&enc.into_bytes());
     }
+}
+
+/// Decodes one [`FleetJournal::append`] record; a record whose policy
+/// name is not its variant index's is from an incompatible policy set
+/// and is rejected.
+fn decode_variant(record: &[u8]) -> Result<(usize, Vec<RackReport>), CkptError> {
+    let mut dec = Dec::new(record);
+    let variant = dec.seq_len()?;
+    let policy = dec.bytes()?;
+    if PolicyKind::ALL.get(variant).map(|kind| kind.name().as_bytes()) != Some(policy) {
+        return Err(CkptError::Malformed("unknown policy variant".into()));
+    }
+    let reports = (0..dec.seq_len()?)
+        .map(|rack| {
+            Ok(RackReport {
+                rack,
+                machines: dec.seq_len()?,
+                peak_celsius: dec.f64()?,
+                rms_celsius: dec.f64()?,
+                trips: dec.u64()?,
+                requests: dec.u64()?,
+                good_fraction: dec.f64()?,
+                p99_latency_s: dec.opt_f64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, CkptError>>()?;
+    dec.finish()?;
+    Ok((variant, reports))
 }
 
 /// The journal file path for a chaos sweep inside `dir`.
@@ -242,185 +126,45 @@ pub fn chaos_journal_path(dir: &Path, grid_fingerprint: u64) -> PathBuf {
     dir.join(format!("fleet-chaos-{grid_fingerprint:016x}.journal"))
 }
 
-/// Renders an optional metric as a full-width hex bit pattern or `-`.
-fn encode_opt_f64(value: Option<f64>) -> String {
-    match value {
-        Some(v) => format!("{:016x}", v.to_bits()),
-        None => "-".to_string(),
-    }
-}
-
-/// Parses [`encode_opt_f64`]'s rendering back.
-fn parse_opt_f64(token: &str) -> Option<Option<f64>> {
-    match token {
-        "-" => Some(None),
-        hex => Some(Some(parse_hex_f64(hex)?)),
-    }
-}
-
-/// Tokens one chaos entry carries after `chaos <index> <label>`; the
-/// fixed count is what rejects SIGKILL-torn prefixes.
-const CHAOS_METRIC_TOKENS: usize = 17;
-
-/// Serializes one completed chaos point as a single journal line (no
-/// trailing newline). Exposed for the journal property tests.
-///
-/// Format, whitespace-separated (labels never contain whitespace):
-///
-/// ```text
-/// chaos <index> <label> <17 metric tokens>
-/// ```
-///
-/// with counters as decimal, floats as full-width hex bit patterns, and
-/// absent measurements as `-`. The final token is a full-width float, so
-/// a line cut anywhere short of its true end never decodes.
-pub fn encode_chaos_entry(index: usize, label: &str, metrics: &ChaosMetrics) -> String {
-    let m = metrics;
-    format!(
-        "chaos {index} {label} {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {} {} {} {} {} {} {} {} {:016x}",
-        m.arrived_requests,
-        m.shed_requests,
-        m.shed_fraction.to_bits(),
-        m.arrived_cpu_s.to_bits(),
-        m.served_cpu_s.to_bits(),
-        m.shed_cpu_s.to_bits(),
-        m.capacity_mean.to_bits(),
-        m.capacity_min.to_bits(),
-        m.healthy_epochs,
-        m.degraded_epochs,
-        encode_opt_f64(m.p99_healthy_s),
-        encode_opt_f64(m.p99_degraded_s),
-        m.recoveries,
-        encode_opt_f64(m.recovery_mean_s),
-        encode_opt_f64(m.recovery_max_s),
-        m.trips,
-        m.peak_celsius.to_bits(),
-    )
-}
-
-/// Parses one chaos journal line back into `(index, label, metrics)`.
-/// Returns `None` for comments, blanks, and malformed or truncated
-/// lines. Exposed for the journal property tests.
-pub fn decode_chaos_entry(line: &str) -> Option<(usize, String, ChaosMetrics)> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return None;
-    }
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() != 3 + CHAOS_METRIC_TOKENS || tokens[0] != "chaos" {
-        return None;
-    }
-    let index: usize = tokens[1].parse().ok()?;
-    let label = tokens[2].to_string();
-    let m = &tokens[3..];
-    let metrics = ChaosMetrics {
-        arrived_requests: m[0].parse().ok()?,
-        shed_requests: m[1].parse().ok()?,
-        shed_fraction: parse_hex_f64(m[2])?,
-        arrived_cpu_s: parse_hex_f64(m[3])?,
-        served_cpu_s: parse_hex_f64(m[4])?,
-        shed_cpu_s: parse_hex_f64(m[5])?,
-        capacity_mean: parse_hex_f64(m[6])?,
-        capacity_min: parse_hex_f64(m[7])?,
-        healthy_epochs: m[8].parse().ok()?,
-        degraded_epochs: m[9].parse().ok()?,
-        p99_healthy_s: parse_opt_f64(m[10])?,
-        p99_degraded_s: parse_opt_f64(m[11])?,
-        recoveries: m[12].parse().ok()?,
-        recovery_mean_s: parse_opt_f64(m[13])?,
-        recovery_max_s: parse_opt_f64(m[14])?,
-        trips: m[15].parse().ok()?,
-        peak_celsius: parse_hex_f64(m[16])?,
-    };
-    Some((index, label, metrics))
-}
-
-/// A chaos sweep's journal: same healing, replay, and append discipline
-/// as [`FleetJournal`], but the unit is one (intensity, policy) grid
-/// point and the identity is the grid fingerprint (base config, every
+/// A chaos sweep's journal: same replay and append discipline as
+/// [`FleetJournal`], but the unit is one (intensity, policy) grid point
+/// and the identity is the grid fingerprint (base config, every
 /// synthetic plan's bytes, the recovery hysteresis).
 #[derive(Debug)]
 pub struct ChaosJournal {
-    path: PathBuf,
-    /// Expected label per point index, from the grid; entries whose
+    journal: Journal,
+    /// Expected label per point index, from the grid; records whose
     /// label disagrees are from an incompatible grid and never replay.
     labels: Vec<String>,
     entries: BTreeMap<usize, ChaosMetrics>,
-    /// `None` once an I/O error has disabled journaling.
-    file: Mutex<Option<File>>,
 }
 
 impl ChaosJournal {
-    /// Opens the journal for `grid` inside `dir`; same resume/heal
-    /// contract as [`FleetJournal::open`].
+    /// Opens the journal for `grid` inside `dir`; same resume contract
+    /// as [`FleetJournal::open`].
     pub fn open(dir: &Path, grid: &ChaosGrid, resume: bool) -> ChaosJournal {
         let fingerprint = grid.fingerprint();
         let path = chaos_journal_path(dir, fingerprint);
+        let (journal, records) = Journal::open(&path, "fleet-chaos", fingerprint, resume);
         let labels: Vec<String> = grid
             .points()
             .into_iter()
             .map(|(intensity, kind)| ChaosGrid::label(intensity, kind))
             .collect();
-        let mut entries = BTreeMap::new();
-        if resume {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines() {
-                    if let Some((index, label, metrics)) = decode_chaos_entry(line) {
-                        if labels.get(index).is_some_and(|expected| *expected == label) {
-                            entries.insert(index, metrics);
-                        }
-                    }
-                }
-            }
-        }
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create journal dir {}: {err}", dir.display());
-            return ChaosJournal {
-                path,
-                labels,
-                entries,
-                file: Mutex::new(None),
-            };
-        }
-        let opened = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&path);
-        let file = match opened {
-            Ok(mut file) => {
-                let mut prefix =
-                    format!("# dimetrodon fleet chaos journal v1 grid {fingerprint:016x}\n");
-                for (&index, metrics) in &entries {
-                    prefix.push_str(&encode_chaos_entry(index, &labels[index], metrics));
-                    prefix.push('\n');
-                }
-                if let Err(err) = file.write_all(prefix.as_bytes()).and_then(|()| file.flush()) {
-                    eprintln!("warning: journal write failed ({err}); journaling disabled");
-                    None
-                } else {
-                    Some(file)
-                }
-            }
-            Err(err) => {
-                eprintln!(
-                    "warning: cannot open journal {}: {err}; journaling disabled",
-                    path.display()
-                );
-                None
-            }
-        };
+        let entries = records
+            .iter()
+            .filter_map(|record| decode_point(record, &labels).ok())
+            .collect();
         ChaosJournal {
-            path,
+            journal,
             labels,
             entries,
-            file: Mutex::new(file),
         }
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// Points loaded for replay at open.
@@ -428,13 +172,13 @@ impl ChaosJournal {
         self.entries.len()
     }
 
-    /// The replayed metrics for a point, if its line survived.
+    /// The replayed metrics for a point, if its record survived.
     pub fn replayed(&self, index: usize) -> Option<ChaosMetrics> {
         self.entries.get(&index).cloned()
     }
 
-    /// Appends one completed point and flushes. Thread-safe; workers
-    /// append in completion order.
+    /// Appends one completed point. Thread-safe; workers append in
+    /// completion order.
     ///
     /// # Panics
     ///
@@ -446,22 +190,70 @@ impl ChaosJournal {
             Some(label),
             "chaos journal append under a label the grid does not own"
         );
-        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(file) = guard.as_mut() {
-            let mut line = encode_chaos_entry(index, label, metrics);
-            line.push('\n');
-            let written = file.write_all(line.as_bytes()).and_then(|()| file.flush());
-            if let Err(err) = written {
-                eprintln!("warning: journal write failed ({err}); journaling disabled");
-                *guard = None;
-            }
-        }
+        let m = metrics;
+        let mut enc = Enc::new();
+        enc.seq_len(index);
+        enc.bytes(label.as_bytes());
+        enc.u64(m.arrived_requests);
+        enc.u64(m.shed_requests);
+        enc.f64(m.shed_fraction);
+        enc.f64(m.arrived_cpu_s);
+        enc.f64(m.served_cpu_s);
+        enc.f64(m.shed_cpu_s);
+        enc.f64(m.capacity_mean);
+        enc.f64(m.capacity_min);
+        enc.u64(m.healthy_epochs);
+        enc.u64(m.degraded_epochs);
+        enc.opt_f64(m.p99_healthy_s);
+        enc.opt_f64(m.p99_degraded_s);
+        enc.u64(m.recoveries);
+        enc.opt_f64(m.recovery_mean_s);
+        enc.opt_f64(m.recovery_max_s);
+        enc.u64(m.trips);
+        enc.f64(m.peak_celsius);
+        self.journal.append(&enc.into_bytes());
     }
+}
+
+/// Decodes one [`ChaosJournal::append`] record; a record whose label is
+/// not the grid's label for its index is rejected.
+fn decode_point(record: &[u8], labels: &[String]) -> Result<(usize, ChaosMetrics), CkptError> {
+    let mut dec = Dec::new(record);
+    let index = dec.seq_len()?;
+    if labels.get(index).map(String::as_bytes) != Some(dec.bytes()?) {
+        return Err(CkptError::Malformed("label not in this grid".into()));
+    }
+    let metrics = ChaosMetrics {
+        arrived_requests: dec.u64()?,
+        shed_requests: dec.u64()?,
+        shed_fraction: dec.f64()?,
+        arrived_cpu_s: dec.f64()?,
+        served_cpu_s: dec.f64()?,
+        shed_cpu_s: dec.f64()?,
+        capacity_mean: dec.f64()?,
+        capacity_min: dec.f64()?,
+        healthy_epochs: dec.u64()?,
+        degraded_epochs: dec.u64()?,
+        p99_healthy_s: dec.opt_f64()?,
+        p99_degraded_s: dec.opt_f64()?,
+        recoveries: dec.u64()?,
+        recovery_mean_s: dec.opt_f64()?,
+        recovery_max_s: dec.opt_f64()?,
+        trips: dec.u64()?,
+        peak_celsius: dec.f64()?,
+    };
+    dec.finish()?;
+    Ok((index, metrics))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FleetConfig;
+
+    fn scratch(tag: u32) -> PathBuf {
+        std::env::temp_dir().join(format!("fleet-journal-test-{}-{tag}", std::process::id()))
+    }
 
     fn sample_reports() -> Vec<RackReport> {
         vec![
@@ -479,44 +271,47 @@ mod tests {
                 rack: 1,
                 machines: 2,
                 peak_celsius: 40.0,
-                rms_celsius: 38.5,
+                rms_celsius: -0.0,
                 trips: 0,
                 requests: 0,
-                good_fraction: 0.0,
+                good_fraction: f64::NAN,
                 p99_latency_s: None,
             },
         ]
     }
 
+    /// Bit-level equality, so `-0.0` and NaN count as round-tripped
+    /// only when their bit patterns survive.
+    fn bits(reports: &[RackReport]) -> Vec<[u64; 8]> {
+        reports
+            .iter()
+            .map(|r| {
+                [
+                    r.rack as u64,
+                    r.machines as u64,
+                    r.peak_celsius.to_bits(),
+                    r.rms_celsius.to_bits(),
+                    r.trips,
+                    r.requests,
+                    r.good_fraction.to_bits(),
+                    r.p99_latency_s.map_or(1, f64::to_bits),
+                ]
+            })
+            .collect()
+    }
+
     #[test]
     fn entries_round_trip_bit_for_bit() {
-        let reports = sample_reports();
-        let line = encode_entry(2, "coolest-first", &reports);
-        let (variant, policy, decoded) = decode_entry(&line).expect("round trip");
-        assert_eq!(variant, 2);
-        assert_eq!(policy, "coolest-first");
-        assert_eq!(decoded, reports);
-    }
-
-    #[test]
-    fn every_truncation_of_a_line_is_rejected_or_decodes_a_prefix_free_value() {
-        // A SIGKILL can cut the final line anywhere; no prefix of a
-        // valid line may decode (the declared rack count guards it).
-        let line = encode_entry(1, "least-loaded", &sample_reports());
-        for cut in 0..line.len() {
-            assert!(
-                decode_entry(&line[..cut]).is_none(),
-                "truncation at byte {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn comments_blanks_and_garbage_are_skipped() {
-        assert!(decode_entry("").is_none());
-        assert!(decode_entry("# header").is_none());
-        assert!(decode_entry("point 0123 garbage").is_none());
-        assert!(decode_entry("variant x round-robin 0").is_none());
+        let dir = scratch(line!());
+        let journal = FleetJournal::open(&dir, 7, false);
+        journal.append(2, "coolest-first", &sample_reports());
+        let resumed = FleetJournal::open(&dir, 7, true);
+        assert_eq!(resumed.replayed_count(), 1);
+        assert_eq!(
+            bits(&resumed.replayed(2).expect("variant 2 replays")),
+            bits(&sample_reports())
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn sample_metrics() -> ChaosMetrics {
@@ -532,10 +327,10 @@ mod tests {
             healthy_epochs: 20,
             degraded_epochs: 10,
             p99_healthy_s: Some(1.5),
-            p99_degraded_s: Some(4.25),
+            p99_degraded_s: None,
             recoveries: 2,
             recovery_mean_s: Some(6.0),
-            recovery_max_s: Some(9.0),
+            recovery_max_s: None,
             trips: 5,
             peak_celsius: 51.375,
         }
@@ -543,42 +338,27 @@ mod tests {
 
     #[test]
     fn chaos_entries_round_trip_bit_for_bit() {
-        let metrics = sample_metrics();
-        let line = encode_chaos_entry(3, "i0.50:least-loaded", &metrics);
-        let (index, label, decoded) = decode_chaos_entry(&line).expect("round trip");
-        assert_eq!(index, 3);
-        assert_eq!(label, "i0.50:least-loaded");
-        assert_eq!(decoded, metrics);
-
-        let mut sparse = metrics;
-        sparse.p99_degraded_s = None;
-        sparse.recovery_mean_s = None;
-        sparse.recovery_max_s = None;
-        let line = encode_chaos_entry(0, "i0.00:round-robin", &sparse);
-        let (_, _, decoded) = decode_chaos_entry(&line).expect("sparse round trip");
-        assert_eq!(decoded, sparse);
-    }
-
-    #[test]
-    fn every_truncation_of_a_chaos_line_is_rejected() {
-        let line = encode_chaos_entry(7, "i1.00:pinned-migrate", &sample_metrics());
-        for cut in 0..line.len() {
-            assert!(
-                decode_chaos_entry(&line[..cut]).is_none(),
-                "truncation at byte {cut} must not decode"
-            );
-        }
-        assert!(decode_chaos_entry("# header").is_none());
-        assert!(decode_chaos_entry("variant 0 round-robin 0").is_none());
+        let dir = scratch(line!());
+        let grid = ChaosGrid::new(FleetConfig::quick(3), vec![0.0, 0.5]);
+        let (intensity, kind) = grid.points()[5];
+        let journal = ChaosJournal::open(&dir, &grid, false);
+        journal.append(5, &ChaosGrid::label(intensity, kind), &sample_metrics());
+        let resumed = ChaosJournal::open(&dir, &grid, true);
+        assert_eq!(resumed.replayed_count(), 1);
+        assert_eq!(resumed.replayed(5), Some(sample_metrics()));
+        // A record whose label is not the grid's for its index is from
+        // an incompatible grid and must not replay.
+        let labels = vec!["i0.00:round-robin".to_string()];
+        let mut enc = Enc::new();
+        enc.seq_len(0);
+        enc.bytes(b"i0.50:round-robin");
+        assert!(decode_point(&enc.into_bytes(), &labels).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn open_resume_replays_only_known_variants() {
-        let dir = std::env::temp_dir().join(format!(
-            "fleet-journal-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
+        let dir = scratch(line!());
         let fingerprint = 0xabcd_ef01_2345_6789;
         {
             let journal = FleetJournal::open(&dir, fingerprint, false);
@@ -590,8 +370,8 @@ mod tests {
         let resumed = FleetJournal::open(&dir, fingerprint, true);
         assert_eq!(resumed.replayed_count(), 1);
         assert_eq!(
-            resumed.replayed(0).expect("variant 0 replays"),
-            sample_reports()
+            bits(&resumed.replayed(0).expect("variant 0 replays")),
+            bits(&sample_reports())
         );
         assert!(resumed.replayed(1).is_none());
 

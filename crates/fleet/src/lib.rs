@@ -26,7 +26,7 @@
 //! stream is drawn before routing consults any policy, so every policy
 //! variant faces the *same* offered load, and [`fleet_comparison`] shards
 //! policy variants across worker threads with bit-identical results at
-//! every worker count. Completed variants append to a torn-tail-tolerant
+//! every worker count. Completed variants append to a checksummed frame
 //! journal keyed by a config fingerprint, so a killed comparison resumes
 //! byte-identically.
 

@@ -1,12 +1,14 @@
 //! Chaos determinism contract: a chaos sweep is a pure function of its
 //! [`ChaosGrid`] — worker count, the harness snapshot cache, and
 //! journal-based resume (including resume from a torn journal tail, the
-//! on-disk shape a mid-comparison SIGKILL leaves) must all be invisible
-//! in the output, byte for byte, even while machines are crashing,
-//! restarting cold, and being failed over around.
+//! on-disk shape a mid-comparison SIGKILL leaves, and over bit flips, see
+//! `journal_damage.rs`) must all be invisible in the output, byte for
+//! byte, even while machines are crashing, restarting cold, and being
+//! failed over around.
 
 use std::fs;
 
+use dimetrodon_ckpt::scan_journal;
 use dimetrodon_faults::{FleetFaultKind, FleetFaultPlan, FleetTarget};
 use dimetrodon_fleet::{
     chaos_comparison_with, chaos_journal_path, chaos_table, fleet_comparison_with, fleet_table,
@@ -67,68 +69,6 @@ fn snapshot_cache_state_is_invisible_in_the_chaos_output() {
         with_cache, without_cache,
         "chaos CSV must not depend on the snapshot cache"
     );
-}
-
-#[test]
-fn chaos_resume_after_a_torn_tail_is_byte_identical() {
-    let grid = suite_grid();
-    let dir = std::env::temp_dir().join(format!(
-        "chaos-determinism-{}-{:016x}",
-        std::process::id(),
-        grid.fingerprint()
-    ));
-    fs::create_dir_all(&dir).expect("create journal dir");
-
-    // Fresh run, journaling every point as it completes.
-    let journal = ChaosJournal::open(&dir, &grid, false);
-    assert_eq!(journal.replayed_count(), 0, "fresh journal replays nothing");
-    let reference = chaos_csv(1, Some(&journal));
-    let path = journal.path().to_path_buf();
-    drop(journal);
-
-    let full = fs::read_to_string(&path).expect("read journal");
-    let lines: Vec<&str> = full.lines().collect();
-    let points = grid.points().len();
-    assert_eq!(
-        lines.len(),
-        1 + points,
-        "journal holds a header plus one line per grid point"
-    );
-
-    // A mid-run SIGKILL leaves a prefix of whole lines plus, in the
-    // worst case, a torn partial line. Reproduce exactly that shape:
-    // keep the header and the first three points, then append half of
-    // the fourth line with no trailing newline.
-    let torn = format!(
-        "{}\n{}\n{}\n{}\n{}",
-        lines[0],
-        lines[1],
-        lines[2],
-        lines[3],
-        &lines[4][..lines[4].len() / 2]
-    );
-    fs::write(&path, &torn).expect("write torn journal");
-
-    let resumed = ChaosJournal::open(&dir, &grid, true);
-    assert_eq!(
-        resumed.replayed_count(),
-        3,
-        "the torn line must be rejected, the whole lines replayed"
-    );
-    let after_resume = chaos_csv(1, Some(&resumed));
-    assert_eq!(
-        after_resume, reference,
-        "resume after a torn tail must reproduce the sweep byte for byte"
-    );
-
-    // The resumed run healed the journal: a second resume replays every
-    // point and recomputes nothing.
-    drop(resumed);
-    let healed = ChaosJournal::open(&dir, &grid, true);
-    assert_eq!(healed.replayed_count(), points);
-    assert_eq!(chaos_csv(3, Some(&healed)), reference);
-
-    fs::remove_dir_all(&dir).expect("remove journal dir");
 }
 
 #[test]
@@ -197,12 +137,11 @@ fn planned_chaos_comparison_resumes_byte_identically() {
     let path = journal.path().to_path_buf();
     drop(journal);
 
-    // Kill shape again: whole-line prefix plus a torn tail.
-    let full = fs::read_to_string(&path).expect("read journal");
-    let lines: Vec<&str> = full.lines().collect();
-    assert_eq!(lines.len(), 1 + PolicyKind::ALL.len());
-    let torn = format!("{}\n{}\n{}", lines[0], lines[1], &lines[2][..lines[2].len() / 2]);
-    fs::write(&path, &torn).expect("write torn journal");
+    // Kill shape: the first record whole, the second torn mid-frame.
+    let full = fs::read(&path).expect("read journal");
+    let ends = scan_journal(&full).expect("journal verifies").record_ends;
+    assert_eq!(ends.len(), PolicyKind::ALL.len());
+    fs::write(&path, &full[..(ends[0] + ends[1]) / 2]).expect("write torn journal");
 
     let resumed = FleetJournal::open(&dir, config.fingerprint(), true);
     assert_eq!(resumed.replayed_count(), 1);

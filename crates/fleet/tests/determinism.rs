@@ -1,7 +1,8 @@
 //! Fleet determinism contract: a fleet comparison is a pure function of
 //! its [`FleetConfig`] — worker count, the harness snapshot cache, and
-//! journal-based resume (including resume from a torn journal tail) must
-//! all be invisible in the output, byte for byte.
+//! journal-based resume (including resume over a damaged journal, see
+//! `journal_damage.rs`) must all be invisible in the output, byte for
+//! byte.
 
 use std::fs;
 use std::io::Write as _;
@@ -57,66 +58,6 @@ fn snapshot_cache_state_is_invisible_in_the_output() {
 }
 
 #[test]
-fn resume_after_a_torn_tail_is_byte_identical() {
-    let config = suite_config();
-    let dir = std::env::temp_dir().join(format!(
-        "fleet-determinism-{}-{:016x}",
-        std::process::id(),
-        config.fingerprint()
-    ));
-    fs::create_dir_all(&dir).expect("create journal dir");
-
-    // Fresh run, journaling every variant as it completes.
-    let journal = FleetJournal::open(&dir, config.fingerprint(), false);
-    assert_eq!(journal.replayed_count(), 0, "fresh journal replays nothing");
-    let reference = comparison_csv(1, Some(&journal));
-    let journal_path = journal.path().to_path_buf();
-    drop(journal);
-
-    let full = fs::read_to_string(&journal_path).expect("read journal");
-    let lines: Vec<&str> = full.lines().collect();
-    assert_eq!(
-        lines.len(),
-        1 + PolicyKind::ALL.len(),
-        "journal holds a header plus one line per policy"
-    );
-
-    // A mid-run SIGKILL leaves a prefix of whole lines plus, in the worst
-    // case, a torn partial line. Reproduce exactly that shape: keep the
-    // header and the first two variants, then append half of the third
-    // line with no trailing newline.
-    let torn = format!(
-        "{}\n{}\n{}\n{}",
-        lines[0],
-        lines[1],
-        lines[2],
-        &lines[3][..lines[3].len() / 2]
-    );
-    fs::write(&journal_path, &torn).expect("write torn journal");
-
-    let resumed = FleetJournal::open(&dir, config.fingerprint(), true);
-    assert_eq!(
-        resumed.replayed_count(),
-        2,
-        "the torn line must be rejected, the whole lines replayed"
-    );
-    let after_resume = comparison_csv(1, Some(&resumed));
-    assert_eq!(
-        after_resume, reference,
-        "resume after a torn tail must reproduce the run byte for byte"
-    );
-
-    // The resumed run healed the journal: a second resume replays all
-    // four variants and recomputes nothing.
-    drop(resumed);
-    let healed = FleetJournal::open(&dir, config.fingerprint(), true);
-    assert_eq!(healed.replayed_count(), PolicyKind::ALL.len());
-    assert_eq!(comparison_csv(3, Some(&healed)), reference);
-
-    fs::remove_dir_all(&dir).expect("remove journal dir");
-}
-
-#[test]
 fn a_journal_for_a_different_config_is_never_replayed() {
     let config = suite_config();
     let mut other = suite_config();
@@ -140,8 +81,8 @@ fn a_journal_for_a_different_config_is_never_replayed() {
     assert_eq!(mine.replayed_count(), 0, "a different config must not replay");
     drop(mine);
 
-    // Garbage appended after valid lines is skipped without poisoning the
-    // valid prefix.
+    // Garbage appended after the valid records ends the journal there
+    // without poisoning the records before it.
     let path = journal_path(&dir, other.fingerprint());
     let mut file = fs::OpenOptions::new()
         .append(true)

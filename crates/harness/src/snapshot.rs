@@ -36,13 +36,13 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use dimetrodon_ckpt::fnv1a64;
 use dimetrodon_machine::{IdleMode, MachineConfig};
 use dimetrodon_sched::{System, SystemSnapshot};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::SpecBenchmark;
 
 use crate::runner::SaturatingWorkload;
-use crate::supervise::fnv1a64;
 
 /// Globally enables or disables warm-prefix reuse (the `--no-snapshot`
 /// flag). Disabled, every run recomputes its prefix — same results,

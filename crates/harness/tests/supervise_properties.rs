@@ -1,24 +1,27 @@
 //! Property tests for the sweep supervisor (`harness::supervise`):
 //!
-//! * the journal encoding preserves the measurement projection of a
+//! * the journal preserves the measurement projection of a
 //!   [`RunOutcome`] bit-for-bit across arbitrary re-serialization cycles,
 //!   and point fingerprints are a pure function of the point's fields;
-//! * a run killed after *any* k of n journal entries — including a torn
-//!   final line, as a SIGKILL mid-write leaves behind — resumes with
+//! * a run killed after *any* k of n journal records — including a torn
+//!   final frame, as a SIGKILL mid-write leaves behind — resumes with
 //!   `--resume` to outcomes bit-identical to an uninterrupted run, at
 //!   every worker count;
+//! * a journal damaged by a single-bit flip or a cut anywhere replays
+//!   exactly the whole records before the damage, each bit-equal to what
+//!   was written, and never a changed value;
 //! * a chaos grid poisoning an intensity-controlled fraction of points
 //!   (the robustness experiment's intensity knob turned on the harness
 //!   itself) quarantines exactly the poisoned points and leaves every
 //!   healthy point's measurements untouched.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use dimetrodon_ckpt::scan_journal;
 use dimetrodon_harness::supervise::{
-    decode_entry, encode_entry, fingerprint_point, fingerprint_sweep, journal_path,
-    run_supervised, take_incidents, take_replayed, IncidentKind, PointOutcome, SupervisorConfig,
+    fingerprint_point, fingerprint_sweep, journal_path, run_supervised, take_incidents,
+    take_replayed, IncidentKind, PointOutcome, SupervisorConfig, SweepJournal,
 };
 use dimetrodon_harness::sweep::{set_jobs, SweepPoint};
 use dimetrodon_harness::{Actuation, RunConfig, RunOutcome, SaturatingWorkload};
@@ -104,7 +107,7 @@ fn outcome_strategy() -> impl Strategy<Value = RunOutcome> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Encode → decode → encode → decode: the fingerprint key and every
+    /// Append → reopen → append → reopen: the fingerprint key and every
     /// journaled measurement survive arbitrary re-serialization cycles
     /// bit-for-bit (floats travel as IEEE-754 bit patterns, never through
     /// decimal — `-0.0` and subnormals included).
@@ -113,16 +116,21 @@ proptest! {
         fingerprint in any::<u64>(),
         outcome in outcome_strategy(),
     ) {
-        let line = encode_entry(fingerprint, &outcome);
-        let (fp1, cycle1) = decode_entry(&line).expect("freshly encoded line must decode");
-        prop_assert_eq!(fp1, fingerprint);
+        let dir = scratch_dir(&format!("cycle-{fingerprint:016x}"));
+        let sweep = fingerprint_sweep(&[tiny_point(fingerprint)]);
+        let cycle = |outcome: &RunOutcome| {
+            SweepJournal::open(&dir, sweep, false).append(fingerprint, outcome);
+            let reopened = SweepJournal::open(&dir, sweep, true);
+            assert_eq!(reopened.replayed_count(), 1);
+            reopened.replayed(fingerprint).cloned()
+        };
+        let cycle1 = cycle(&outcome).expect("a fresh record must replay under its key");
         prop_assert!(same_measurements(&outcome, &cycle1), "first cycle lost bits");
-        // A second cycle (a replayed point being re-journaled on resume)
-        // is just as lossless.
-        let (fp2, cycle2) =
-            decode_entry(&encode_entry(fp1, &cycle1)).expect("re-encoded line must decode");
-        prop_assert_eq!(fp2, fingerprint);
+        // A second cycle (a replayed point being re-journaled) is just as
+        // lossless.
+        let cycle2 = cycle(&cycle1).expect("a re-journaled record must replay");
         prop_assert!(same_measurements(&outcome, &cycle2), "second cycle lost bits");
+        drop(std::fs::remove_dir_all(&dir));
     }
 
     /// Point fingerprints are a pure function of the point's fields: an
@@ -150,8 +158,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Kill-and-resume at any interrupt point: run a grid to completion,
-    /// cut its journal back to the first `kill_after` entries plus a torn
-    /// fragment of the next line, and resume. At every worker count the
+    /// cut its journal back to the first `kill_after` records plus a torn
+    /// fragment of the next frame, and resume. At every worker count the
     /// resumed outcomes are bit-identical to the uninterrupted run,
     /// exactly `kill_after` points are replayed rather than recomputed,
     /// and the journal ends up complete again.
@@ -180,28 +188,17 @@ proptest! {
         );
         prop_assert!(reference.iter().all(PointOutcome::is_ok));
 
-        // "Kill" the run after `kill_after` entries: keep the header and
-        // the first entries (journal order is completion order, not grid
-        // order), then tear the next line in half as SIGKILL would.
-        let text = std::fs::read_to_string(journal_path(&ref_dir, sweep))
-            .expect("reference journal written");
-        let mut kept = String::new();
-        let mut entries = 0usize;
-        let mut torn = false;
-        for line in text.lines() {
-            if line.starts_with('#') {
-                kept.push_str(line);
-                kept.push('\n');
-            } else if entries < kill_after {
-                kept.push_str(line);
-                kept.push('\n');
-                entries += 1;
-            } else if !torn {
-                kept.push_str(&line[..line.len() / 2]);
-                torn = true;
-            }
-        }
-        prop_assert_eq!(entries, kill_after);
+        // "Kill" the run after `kill_after` records: keep the header and
+        // the first records (journal order is completion order, not grid
+        // order), then tear the next frame in half as SIGKILL would.
+        let bytes = std::fs::read(journal_path(&ref_dir, sweep)).expect("reference journal");
+        let scan = scan_journal(&bytes).expect("reference journal verifies");
+        prop_assert_eq!(scan.records.len(), POINTS);
+        let cut = match scan.record_ends.get(kill_after) {
+            Some(&end) => end - (scan.records[kill_after].len() + 12) / 2,
+            None => bytes.len(),
+        };
+        let kept = &bytes[..cut];
 
         for workers in [1, 2, 3] {
             let dir = scratch_dir(&format!("resume-{seed}-{kill_after}-{workers}"));
@@ -228,19 +225,18 @@ proptest! {
                     _ => prop_assert!(false, "point {i} did not complete"),
                 }
             }
-            // The resumed run healed the journal: all points decode with
-            // the reference measurements, so a *second* resume would be
-            // pure replay.
-            let healed = std::fs::read_to_string(journal_path(&dir, sweep)).expect("journal");
-            let decoded: BTreeMap<u64, RunOutcome> =
-                healed.lines().filter_map(decode_entry).collect();
-            prop_assert_eq!(decoded.len(), POINTS);
+            // The resumed run cut the torn frame off and appended after
+            // the intact records: every point replays with the reference
+            // measurements, so a *second* resume would be pure replay.
+            let healed = SweepJournal::open(&dir, sweep, true);
+            prop_assert_eq!(healed.replayed_count(), POINTS);
             for (point, outcome) in points.iter().zip(&reference) {
                 let PointOutcome::Ok(outcome) = outcome else {
                     unreachable!("checked above")
                 };
+                let replayed = healed.replayed(fingerprint_point(point));
                 prop_assert!(
-                    same_measurements(outcome, &decoded[&fingerprint_point(point)]),
+                    replayed.is_some_and(|r| same_measurements(outcome, r)),
                     "healed journal diverged at {workers} workers"
                 );
             }
@@ -318,4 +314,92 @@ proptest! {
         }
         drop(guard);
     }
+}
+
+/// Every measurement of every outcome at full precision, one row per
+/// point — the sweep's CSV, with nothing rounded away.
+fn outcomes_csv(outcomes: &[PointOutcome]) -> String {
+    let mut csv = String::from("point,idle,tail,throughput,injected_idles,curve\n");
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let PointOutcome::Ok(o) = outcome else {
+            panic!("point {i} did not complete")
+        };
+        csv.push_str(&format!(
+            "{i},{:?},{:?},{:?},{},{:?}\n",
+            o.idle_temp, o.tail_temp, o.throughput, o.injected_idles, o.observed_curve
+        ));
+    }
+    csv
+}
+
+/// Damage anywhere in a sweep journal — a single-bit flip at every byte
+/// (the bit cycling with the offset) or a cut at every byte offset —
+/// replays exactly the whole records before the damage, each bit-equal
+/// to what the run wrote. One flip and one cut then go through a full
+/// resume whose CSV equals the undamaged run's at one and three workers.
+#[test]
+fn a_damaged_sweep_journal_replays_exactly_the_records_before_the_damage() {
+    let guard = SWEEP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let points: Vec<SweepPoint> = (0..3).map(|i| tiny_point(900 + i)).collect();
+    let dir = scratch_dir("damage");
+    drop(std::fs::remove_dir_all(&dir));
+    let config = SupervisorConfig {
+        journal_dir: Some(dir.clone()),
+        ..SupervisorConfig::default()
+    };
+    // One worker journals in point order, so record k is point k.
+    set_jobs(1);
+    let reference = run_supervised(&points, &config);
+    let reference_csv = outcomes_csv(&reference);
+    let sweep = fingerprint_sweep(&points);
+    let path = journal_path(&dir, sweep);
+    let bytes = std::fs::read(&path).expect("journal written");
+    let ends = scan_journal(&bytes).expect("journal verifies").record_ends;
+    assert_eq!(ends.len(), points.len());
+
+    let replays_prefix = |damaged: &[u8], damaged_at: usize| {
+        std::fs::write(&path, damaged).expect("write damaged journal");
+        let journal = SweepJournal::open(&dir, sweep, true);
+        let intact = ends.iter().filter(|&&end| end <= damaged_at).count();
+        assert_eq!(journal.replayed_count(), intact, "damage at byte {damaged_at}");
+        for (point, outcome) in points.iter().zip(&reference).take(intact) {
+            let PointOutcome::Ok(written) = outcome else {
+                unreachable!("the reference completed")
+            };
+            let replayed = journal.replayed(fingerprint_point(point));
+            assert!(
+                replayed.is_some_and(|r| same_measurements(written, r)),
+                "damage at byte {damaged_at} changed a replayed value"
+            );
+        }
+    };
+    for offset in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[offset] ^= 1 << (offset % 8);
+        replays_prefix(&flipped, offset);
+        replays_prefix(&bytes[..offset], offset);
+    }
+
+    // A flip inside the second record's payload and a cut inside the
+    // third record's frame, resumed for real.
+    let mut flipped = bytes.clone();
+    flipped[ends[1] - 12] ^= 0x10;
+    for (damaged, replayed) in [(flipped, 1), (bytes[..ends[2] - 5].to_vec(), 2)] {
+        for workers in [1, 3] {
+            std::fs::write(&path, &damaged).expect("write damaged journal");
+            set_jobs(workers);
+            take_replayed();
+            let resumed = run_supervised(
+                &points,
+                &SupervisorConfig {
+                    resume: true,
+                    ..config.clone()
+                },
+            );
+            assert_eq!(take_replayed(), replayed, "replays at {workers} workers");
+            assert_eq!(outcomes_csv(&resumed), reference_csv, "CSV at {workers} workers");
+        }
+    }
+    drop(std::fs::remove_dir_all(&dir));
+    drop(guard);
 }
