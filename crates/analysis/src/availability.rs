@@ -18,37 +18,14 @@ pub struct Availability {
     recoveries_s: Vec<f64>,
 }
 
+dimetrodon_ckpt::state! {
+    Availability { persisted: capacity_sum, capacity_min, epochs, recoveries_s; derived: ; }
+}
+
 impl Availability {
     /// A fresh accumulator with no samples.
     pub fn new() -> Availability {
         Availability::default()
-    }
-
-    /// Serializes the accumulator for a durable checkpoint (floats as
-    /// IEEE-754 bit patterns).
-    pub fn encode_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.f64(self.capacity_sum);
-        enc.opt_f64(self.capacity_min);
-        enc.u64(self.epochs);
-        enc.f64_slice(&self.recoveries_s);
-    }
-
-    /// Rebuilds an accumulator from [`encode_state`](Self::encode_state)
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short or malformed
-    /// payload.
-    pub fn decode_state(
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        Ok(Availability {
-            capacity_sum: dec.f64()?,
-            capacity_min: dec.opt_f64()?,
-            epochs: dec.u64()?,
-            recoveries_s: dec.f64_vec()?,
-        })
     }
 
     /// Records one epoch's available capacity as a fraction of nominal

@@ -24,6 +24,12 @@
 //! IEEE-754 bit patterns (see [`Enc::f64`]), so a decoded value is
 //! *bit-identical* to the encoded one.
 //!
+//! What goes into a state frame is declared once per type through the
+//! [`State`] protocol (see [`state!`]); a checkpoint's identity is the
+//! owning run's config fingerprint folded with the declared
+//! [`State::SCHEMA`] of everything it saves, so [`CKPT_FORMAT_VERSION`]
+//! versions only the container.
+//!
 //! Corruption tolerance is by construction, not by luck:
 //!
 //! * every load-path failure is a typed [`CkptError`] — there are no
@@ -45,32 +51,41 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 mod journal;
+mod state;
 
 pub use journal::{
     scan_journal, Journal, JournalHeader, JournalScan, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
 };
+#[doc(hidden)]
+pub use state::field_schema;
+pub use state::{check_len, schema_fold, State};
 
 /// Identifies a checkpoint file; the first 8 bytes on disk.
 pub const CKPT_MAGIC: [u8; 8] = *b"DMTRCKPT";
 
-/// On-disk format version. Bump whenever the byte layout of any frame
-/// changes — including the *field set* of any snapshot type that feeds an
-/// encoder (the simlint S2 rule pins that set against this constant).
+/// On-disk container version: the magic, header frame and frame layout.
+/// What the state frames hold is versioned by [`State::SCHEMA`] instead,
+/// through the fingerprint.
 pub const CKPT_FORMAT_VERSION: u32 = 1;
-
-// simlint::ckpt_pin(version = 1, fields = 0x9393d143d5065597)
 
 /// FNV-1a 64-bit hash, the workspace's standard content fingerprint.
 ///
 /// Each step XORs one byte into the running hash and multiplies by an odd
 /// prime; both operations are invertible on `u64`, so two inputs of equal
 /// length differing in any single byte always hash differently — which is
-/// why a per-frame FNV checksum catches every single-bit flip.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
+/// why a per-frame FNV checksum catches every single-bit flip. A `const
+/// fn`, so [`State::SCHEMA`] hashes are computed at compile time.
+pub const fn fnv1a64(bytes: &[u8]) -> u64 {
+    extend_hash(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a64 hash from `hash` over `bytes`.
+const fn extend_hash(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
         hash = hash.wrapping_mul(0x1000_0000_01b3);
+        i += 1;
     }
     hash
 }
@@ -204,30 +219,6 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
-    /// Appends a length-prefixed slice of `f64` bit patterns.
-    pub fn f64_slice(&mut self, vs: &[f64]) {
-        self.seq_len(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    /// Appends a length-prefixed slice of `u64`s.
-    pub fn u64_slice(&mut self, vs: &[u64]) {
-        self.seq_len(vs.len());
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
-    /// Appends a length-prefixed slice of bools.
-    pub fn bool_slice(&mut self, vs: &[bool]) {
-        self.seq_len(vs.len());
-        for &v in vs {
-            self.bool(v);
-        }
-    }
-
     /// Appends `Some(f64)` as tag 1 + bits, `None` as tag 0.
     pub fn opt_f64(&mut self, v: Option<f64>) {
         match v {
@@ -299,7 +290,7 @@ impl<'a> Dec<'a> {
     /// corrupt length cannot drive an absurd allocation.
     pub fn seq_len(&mut self) -> Result<usize, CkptError> {
         let v = self.u64()?;
-        // No snapshot in this workspace holds more than a few million
+        // No state in this workspace holds more than a few million
         // elements; anything larger is corruption that slipped past
         // framing (or a decoder bug), not data.
         const CEILING: u64 = 1 << 32;
@@ -321,36 +312,6 @@ impl<'a> Dec<'a> {
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed `f64` vector.
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>, CkptError> {
-        let n = self.seq_len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.seq_len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed bool vector.
-    pub fn bool_vec(&mut self) -> Result<Vec<bool>, CkptError> {
-        let n = self.seq_len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(self.bool()?);
-        }
-        Ok(out)
     }
 
     /// Reads an optional `f64` (tag byte + bits).
@@ -669,7 +630,7 @@ mod tests {
         a.u64(42);
         a.f64(-0.0);
         a.f64(f64::NAN);
-        a.f64_slice(&[1.5, 2.5, 3.5]);
+        vec![1.5, 2.5, 3.5].save(&mut a);
         a.bool(true);
         let mut b = Enc::new();
         b.opt_f64(Some(6.25));
@@ -694,7 +655,9 @@ mod tests {
         assert_eq!(dec.u64().unwrap(), 42);
         assert_eq!(dec.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(dec.f64().unwrap().to_bits(), f64::NAN.to_bits());
-        assert_eq!(dec.f64_vec().unwrap(), vec![1.5, 2.5, 3.5]);
+        let mut floats: Vec<f64> = Vec::new();
+        floats.load(&mut dec).unwrap();
+        assert_eq!(floats, vec![1.5, 2.5, 3.5]);
         assert!(dec.bool().unwrap());
         dec.finish().unwrap();
     }

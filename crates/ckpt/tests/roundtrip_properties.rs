@@ -1,15 +1,17 @@
 //! Property tests for the checkpoint codec: *any* sequence of typed
-//! values round-trips bit-for-bit through a full encode/decode cycle
+//! values (`Enc`/`Dec` primitives and `State` containers) round-trips
+//! bit-for-bit through a full encode/decode cycle
 //! (container framing included), and any randomly chosen corruption of
 //! the container — a bit flip or a truncation — is rejected with a typed
 //! error, never a panic or a silently wrong decode.
 
 use dimetrodon_ckpt::{
-    decode_checkpoint, encode_checkpoint, CkptError, CkptHeader, Dec, Enc,
+    decode_checkpoint, encode_checkpoint, CkptError, CkptHeader, Dec, Enc, State,
 };
 use proptest::prelude::*;
 
-/// One typed codec value, mirroring the `Enc`/`Dec` surface. Floats are
+/// One typed codec value, mirroring the `Enc`/`Dec` surface and the
+/// `State` vectors. Floats are
 /// generated as raw bit patterns so NaN payloads, infinities, signed
 /// zeros, and subnormals are all in-domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,10 +61,10 @@ fn encode_items(items: &[Item]) -> Vec<u8> {
             Item::OptF64Bits(bits) => enc.opt_f64(bits.map(f64::from_bits)),
             Item::F64Slice(bits) => {
                 let vs: Vec<f64> = bits.iter().copied().map(f64::from_bits).collect();
-                enc.f64_slice(&vs);
+                vs.save(&mut enc);
             }
-            Item::U64Slice(vs) => enc.u64_slice(vs),
-            Item::BoolSlice(vs) => enc.bool_slice(vs),
+            Item::U64Slice(vs) => vs.save(&mut enc),
+            Item::BoolSlice(vs) => vs.save(&mut enc),
             Item::Bytes(vs) => enc.bytes(vs),
         }
     }
@@ -84,12 +86,21 @@ fn assert_items_round_trip(payload: &[u8], items: &[Item]) {
                 assert_eq!(dec.opt_f64().unwrap().map(f64::to_bits), *bits)
             }
             Item::F64Slice(bits) => {
-                let got: Vec<u64> =
-                    dec.f64_vec().unwrap().into_iter().map(f64::to_bits).collect();
+                let mut got: Vec<f64> = Vec::new();
+                got.load(&mut dec).unwrap();
+                let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
                 assert_eq!(&got, bits);
             }
-            Item::U64Slice(vs) => assert_eq!(&dec.u64_vec().unwrap(), vs),
-            Item::BoolSlice(vs) => assert_eq!(&dec.bool_vec().unwrap(), vs),
+            Item::U64Slice(vs) => {
+                let mut got: Vec<u64> = Vec::new();
+                got.load(&mut dec).unwrap();
+                assert_eq!(&got, vs);
+            }
+            Item::BoolSlice(vs) => {
+                let mut got: Vec<bool> = Vec::new();
+                got.load(&mut dec).unwrap();
+                assert_eq!(&got, vs);
+            }
             Item::Bytes(vs) => assert_eq!(dec.bytes().unwrap(), vs.as_slice()),
         }
     }

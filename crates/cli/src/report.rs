@@ -586,8 +586,11 @@ mod tests {
             run_scenario(&plain).unwrap()
         };
         let checkpointed = run_scenario(&options).unwrap();
-        let key = scenario_key(&options);
-        let stamp = format!("{key:016x}");
+        // Store files are named by the scenario key folded with the
+        // machine's declared checkpoint schema.
+        use dimetrodon_ckpt::State;
+        let fingerprint = dimetrodon_ckpt::schema_fold(scenario_key(&options), Machine::SCHEMA);
+        let stamp = format!("{fingerprint:016x}");
         let dir = std::path::Path::new("results/.ckpt");
         let mine = |entry: &std::fs::DirEntry| entry.file_name().to_string_lossy().contains(&stamp);
         let written = std::fs::read_dir(dir)

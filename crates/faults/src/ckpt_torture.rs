@@ -169,14 +169,14 @@ pub fn torture_journal(image: &[u8], flip_stride: usize) -> Result<TortureReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dimetrodon_ckpt::{encode_checkpoint, CkptHeader, Enc, Journal};
+    use dimetrodon_ckpt::{encode_checkpoint, CkptHeader, Enc, Journal, State};
 
     fn sample_image() -> Vec<u8> {
         let mut a = Enc::new();
         a.u64(7);
         a.f64(1.5);
         let mut b = Enc::new();
-        b.f64_slice(&[0.25, -0.5, 3.75]);
+        vec![0.25, -0.5, 3.75].save(&mut b);
         encode_checkpoint(
             CkptHeader {
                 fingerprint: 0xFEED_BEEF,
@@ -237,7 +237,7 @@ mod tests {
         for i in 0..3u64 {
             let mut record = Enc::new();
             record.u64(i);
-            record.f64_slice(&[0.25, -0.5, 3.75]);
+            vec![0.25, -0.5, 3.75].save(&mut record);
             journal.append(&record.into_bytes());
         }
         let image = std::fs::read(&path).unwrap();

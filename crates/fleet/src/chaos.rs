@@ -18,7 +18,7 @@
 //! intensities, or the base config, and stale journals stop replaying.
 
 use dimetrodon_analysis::Table;
-use dimetrodon_ckpt::fnv1a64;
+use dimetrodon_ckpt::{fnv1a64, Enc};
 use dimetrodon_faults::FleetFaultPlan;
 use dimetrodon_harness::sweep::{jobs, parallel_map_with};
 
@@ -114,16 +114,15 @@ impl ChaosGrid {
     /// recovery hysteresis. Changing the synthetic generator therefore
     /// invalidates old journals instead of replaying stale results.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes = self.base.fingerprint().to_le_bytes().to_vec();
-        bytes.extend_from_slice(&(self.intensities.len() as u64).to_le_bytes());
+        let mut enc = Enc::new();
+        enc.u64(self.base.fingerprint());
+        enc.seq_len(self.intensities.len());
         for &intensity in &self.intensities {
-            bytes.extend_from_slice(&intensity.to_bits().to_le_bytes());
-            let plan = self.plan(intensity).identity_bytes();
-            bytes.extend_from_slice(&(plan.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&plan);
+            enc.f64(intensity);
+            enc.bytes(&self.plan(intensity).identity_bytes());
         }
-        bytes.extend_from_slice(&self.recovery_epochs.to_le_bytes());
-        fnv1a64(&bytes)
+        enc.u64(self.recovery_epochs);
+        fnv1a64(&enc.into_bytes())
     }
 }
 
@@ -260,6 +259,14 @@ mod tests {
         assert_eq!(points[0], (0.0, PolicyKind::RoundRobin));
         assert_eq!(points[4], (1.0, PolicyKind::RoundRobin));
         assert_eq!(ChaosGrid::label(0.5, PolicyKind::LeastLoaded), "i0.50:least-loaded");
+    }
+
+    /// Pinned: chaos journals are keyed by the grid fingerprint, so any
+    /// change to these bytes strands existing journals.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let grid = ChaosGrid::new(FleetConfig::rack_scale(256, 211), vec![1.0]);
+        assert_eq!(grid.fingerprint(), 0x686c_825a_ae8b_de48);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! A checkpoint is two frames in one [`CheckpointStore`] file — the
 //! fleet's full mutable state ([`Fleet::checkpoint_encode`]) and the
 //! routing policy's state ([`RoutePolicy::save_state`]) — keyed by the
-//! config fingerprint so a checkpoint from a different experiment can
-//! never be restored by accident. Because the fleet draws each epoch's
-//! arrivals from its own checkpointed RNG, a restored fleet's remaining
-//! epochs are bit-identical to the uninterrupted run's: the final
-//! reports (and any CSV rendered from them) match byte for byte.
+//! config fingerprint folded with the declared [`State::SCHEMA`] of the
+//! fleet and every policy, so a checkpoint from a different experiment,
+//! or one written under another field set, is never a restore candidate.
+//! Because the fleet draws each epoch's arrivals from its own checkpointed
+//! RNG, a restored fleet's remaining epochs are bit-identical to the
+//! uninterrupted run's: the final reports (and any CSV rendered from them)
+//! match byte for byte.
 //!
 //! Save failures never kill a run: the first I/O error prints a warning
 //! to stderr and disables further checkpointing, exactly the journal
@@ -20,10 +22,10 @@
 
 use std::path::{Path, PathBuf};
 
-use dimetrodon_ckpt::{CheckpointStore, CkptError, Dec, Enc};
+use dimetrodon_ckpt::{schema_fold, CheckpointStore, CkptError, Dec, Enc, State};
 
 use crate::config::FleetConfig;
-use crate::policy::RoutePolicy;
+use crate::policy::{RoutePolicy, POLICY_SCHEMA};
 use crate::sim::{Fleet, RackReport};
 
 /// How many epochs between checkpoints when the caller does not say.
@@ -60,12 +62,13 @@ impl CheckpointSpec {
     }
 
     /// The store for one (config, policy) pair: the stem carries the
-    /// policy name, the fingerprint the full config identity.
+    /// policy name, the fingerprint the full config identity and the
+    /// declared layout of both frames.
     pub fn store(&self, config: &FleetConfig, policy_name: &str) -> CheckpointStore {
         CheckpointStore::new(
             &self.dir,
             &format!("fleet-{policy_name}"),
-            config.fingerprint(),
+            schema_fold(schema_fold(config.fingerprint(), Fleet::SCHEMA), POLICY_SCHEMA),
             self.keep,
         )
     }
@@ -322,6 +325,32 @@ mod tests {
             matches!(err, CkptError::NoVerifiable { tried: 2 }),
             "unexpected error: {err}"
         );
+        std::fs::remove_dir_all(&spec.dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_keyed_without_the_declared_schemas_is_never_a_candidate() {
+        let config = tiny_config(61);
+        let spec = temp_spec("schema");
+        let kind = PolicyKind::RoundRobin;
+        let mut policy = kind.build(&config);
+        let mut fleet = Fleet::new(config.clone());
+        fleet.step(policy.as_mut());
+        // Keyed by the config alone, as a build with another field set
+        // would key it.
+        let other = CheckpointStore::new(
+            &spec.dir,
+            &format!("fleet-{}", kind.name()),
+            config.fingerprint(),
+            spec.keep,
+        );
+        other.save(1, &frames(&fleet, policy.as_ref())).expect("save");
+        let store = spec.store(&config, kind.name());
+        assert!(matches!(store.load_latest(), Ok(None)), "never a candidate");
+        assert!(matches!(
+            store.load_file(&other.path_for(1)),
+            Err(CkptError::FingerprintMismatch { .. })
+        ));
         std::fs::remove_dir_all(&spec.dir).ok();
     }
 

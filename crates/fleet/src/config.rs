@@ -1,8 +1,8 @@
 //! Fleet configuration and its explicit byte fingerprint.
 
-use dimetrodon_ckpt::fnv1a64;
+use dimetrodon_ckpt::{fnv1a64, Enc};
 use dimetrodon_faults::FleetFaultPlan;
-use dimetrodon_harness::snapshot::machine_config_bytes;
+use dimetrodon_harness::snapshot::encode_machine_config;
 use dimetrodon_machine::{MachineConfig, ThermalTrip};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::WebConfig;
@@ -188,34 +188,32 @@ impl FleetConfig {
     /// distinguish hash differently here too. Unlike the warm key, the
     /// seed *is* included: the arrival stream depends on it.
     pub fn fingerprint(&self) -> u64 {
-        let mut bytes = machine_config_bytes(&self.machine);
-        let mut u64_field = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
-        u64_field(self.machines as u64);
-        u64_field(self.machines_per_rack as u64);
-        u64_field(self.tenants as u64);
-        u64_field(self.duration.as_nanos());
-        u64_field(self.epoch.as_nanos());
-        u64_field(self.requests_per_epoch as u64);
-        u64_field(self.mean_service_cpu.as_nanos());
-        u64_field(self.service_activity.to_bits());
-        u64_field(self.good_threshold.as_nanos());
-        u64_field(self.tolerable_threshold.as_nanos());
-        u64_field(self.setpoint_celsius.to_bits());
-        u64_field(self.gain_per_celsius_second.to_bits());
-        u64_field(self.room_celsius.to_bits());
-        u64_field(self.recirc_celsius_per_watt.to_bits());
-        u64_field(self.migration_hysteresis_celsius.to_bits());
-        u64_field(self.seed);
+        let mut enc = Enc::new();
+        encode_machine_config(&mut enc, &self.machine);
+        enc.u64(self.machines as u64);
+        enc.u64(self.machines_per_rack as u64);
+        enc.u64(self.tenants as u64);
+        enc.u64(self.duration.as_nanos());
+        enc.u64(self.epoch.as_nanos());
+        enc.u64(self.requests_per_epoch as u64);
+        enc.u64(self.mean_service_cpu.as_nanos());
+        enc.f64(self.service_activity);
+        enc.u64(self.good_threshold.as_nanos());
+        enc.u64(self.tolerable_threshold.as_nanos());
+        enc.f64(self.setpoint_celsius);
+        enc.f64(self.gain_per_celsius_second);
+        enc.f64(self.room_celsius);
+        enc.f64(self.recirc_celsius_per_watt);
+        enc.f64(self.migration_hysteresis_celsius);
+        enc.u64(self.seed);
         // The chaos section only exists when a plan is scheduled: an empty
         // plan must hash exactly like a pre-chaos config, so a config
         // without chaos keeps the fingerprint it had before the layer.
         if !self.chaos.is_empty() {
-            let plan = self.chaos.identity_bytes();
-            bytes.extend_from_slice(&(plan.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&plan);
-            bytes.extend_from_slice(&self.heartbeat_timeout_epochs.to_le_bytes());
+            enc.bytes(&self.chaos.identity_bytes());
+            enc.u64(self.heartbeat_timeout_epochs);
         }
-        fnv1a64(&bytes)
+        fnv1a64(&enc.into_bytes())
     }
 }
 
@@ -229,6 +227,17 @@ mod tests {
         config.validate();
         assert_eq!(config.racks(), 3, "40 machines at 16/rack is 2 full + 1 partial");
         assert_eq!(config.epochs(), 120);
+    }
+
+    /// The journal identity and its machine section, pinned: journal files
+    /// are named by the fingerprint, so any change to these bytes strands
+    /// existing journals.
+    #[test]
+    fn fingerprint_bytes_are_pinned() {
+        let config = FleetConfig::rack_scale(256, 211);
+        assert_eq!(config.fingerprint(), 0x2577_ae36_7769_d0d1);
+        let machine = dimetrodon_harness::snapshot::machine_config_bytes(&config.machine);
+        assert_eq!(fnv1a64(&machine), 0x0de3_d42d_124b_e62a);
     }
 
     #[test]

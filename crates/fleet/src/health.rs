@@ -16,7 +16,8 @@
 //! QoS split accounts its epochs separately.
 //!
 //! The model is pure bookkeeping over booleans handed in by the epoch
-//! loop, so it derives `Clone` and forks with the fleet.
+//! loop, so it derives `Clone`, forks with the fleet, and checkpoints
+//! through its declared [`State`](dimetrodon_ckpt::State).
 
 /// What a machine advertises to the router this epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,26 +50,41 @@ pub struct HealthModel {
     epoch: u64,
 }
 
-impl HealthState {
-    /// The checkpoint tag byte for this state.
-    pub(crate) fn encode_tag(self) -> u8 {
-        match self {
+dimetrodon_ckpt::state! {
+    HealthModel {
+        persisted: timeout_epochs, heartbeat_age, states, down_since, recovery_epochs, epoch;
+        derived: ;
+        check: HealthModel::check_restored;
+    }
+}
+
+/// One tag byte: 0 up, 1 degraded, 2 down.
+impl dimetrodon_ckpt::State for HealthState {
+    const SCHEMA: u64 = dimetrodon_ckpt::fnv1a64(b"HealthState Up Degraded Down");
+
+    fn save(&self, enc: &mut dimetrodon_ckpt::Enc) {
+        enc.u8(match self {
             HealthState::Up => 0,
             HealthState::Degraded => 1,
             HealthState::Down => 2,
-        }
+        });
     }
 
-    /// The state for a checkpoint tag byte.
-    pub(crate) fn from_tag(tag: u8) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        match tag {
-            0 => Ok(HealthState::Up),
-            1 => Ok(HealthState::Degraded),
-            2 => Ok(HealthState::Down),
-            other => Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "unknown health-state tag {other}"
-            ))),
-        }
+    fn load(
+        &mut self,
+        dec: &mut dimetrodon_ckpt::Dec<'_>,
+    ) -> Result<(), dimetrodon_ckpt::CkptError> {
+        *self = match dec.u8()? {
+            0 => HealthState::Up,
+            1 => HealthState::Degraded,
+            2 => HealthState::Down,
+            tag => {
+                return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
+                    "unknown health-state tag {tag}"
+                )))
+            }
+        };
+        Ok(())
     }
 }
 
@@ -85,76 +101,11 @@ impl HealthModel {
         }
     }
 
-    /// Serializes the full model (heartbeat ages, advertised states,
-    /// outage bookkeeping) for a durable checkpoint.
-    pub fn encode_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.u64(self.timeout_epochs);
-        enc.u64_slice(&self.heartbeat_age);
-        enc.seq_len(self.states.len());
-        for state in &self.states {
-            enc.u8(state.encode_tag());
-        }
-        enc.seq_len(self.down_since.len());
-        for since in &self.down_since {
-            match since {
-                Some(epoch) => {
-                    enc.u8(1);
-                    enc.u64(*epoch);
-                }
-                None => enc.u8(0),
-            }
-        }
-        enc.u64_slice(&self.recovery_epochs);
-        enc.u64(self.epoch);
-    }
-
-    /// Rebuilds a model from [`encode_state`](Self::encode_state) bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short payload, an
-    /// unknown state tag, or per-machine vectors that disagree in length.
-    pub fn decode_state(
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        let timeout_epochs = dec.u64()?;
-        let heartbeat_age = dec.u64_vec()?;
-        let n = dec.seq_len()?;
-        let mut states = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            states.push(HealthState::from_tag(dec.u8()?)?);
-        }
-        let n = dec.seq_len()?;
-        let mut down_since = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            down_since.push(match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u64()?),
-                tag => {
-                    return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                        "unknown down-since tag {tag}"
-                    )))
-                }
-            });
-        }
-        let recovery_epochs = dec.u64_vec()?;
-        let epoch = dec.u64()?;
-        if states.len() != heartbeat_age.len() || down_since.len() != heartbeat_age.len() {
-            return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "health model with {} ages, {} states, {} down-since entries",
-                heartbeat_age.len(),
-                states.len(),
-                down_since.len()
-            )));
-        }
-        Ok(HealthModel {
-            timeout_epochs,
-            heartbeat_age,
-            states,
-            down_since,
-            recovery_epochs,
-            epoch,
-        })
+    /// The restored per-machine vectors must agree in length.
+    fn check_restored(&self) -> Result<(), dimetrodon_ckpt::CkptError> {
+        let machines = self.heartbeat_age.len();
+        dimetrodon_ckpt::check_len("health states", self.states.len(), machines)?;
+        dimetrodon_ckpt::check_len("health down-since entries", self.down_since.len(), machines)
     }
 
     /// Feeds one epoch's ground truth: `alive[m]` is whether machine `m`

@@ -1,5 +1,7 @@
 //! Cluster routing policies: where each arriving request runs.
 
+use dimetrodon_ckpt::{schema_fold, CkptError, Dec, Enc, State};
+
 use crate::config::FleetConfig;
 use crate::health::HealthState;
 
@@ -49,25 +51,28 @@ pub trait RoutePolicy {
     /// End-of-epoch hook; default does nothing.
     fn end_epoch(&mut self, _view: &FleetView<'_>) {}
     /// Appends the policy's mutable routing state to a checkpoint frame.
-    /// Stateless policies keep the default no-op; stateful ones must
-    /// write everything a restored run needs to continue bit-identically
-    /// (cursors, pinning tables, hysteresis latches).
-    fn save_state(&self, _enc: &mut dimetrodon_ckpt::Enc) {}
+    /// Stateless policies keep the default no-op; stateful ones forward
+    /// to their declared [`State`] (cursors, pinning tables, hysteresis
+    /// latches).
+    fn save_state(&self, _enc: &mut Enc) {}
     /// Restores the state written by [`save_state`](RoutePolicy::save_state)
     /// into a freshly built policy of the same kind.
     ///
     /// # Errors
     ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] when the payload is short
-    /// or shaped for a different fleet; implementations never panic on
-    /// corrupt input.
-    fn restore_state(
-        &mut self,
-        _dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<(), dimetrodon_ckpt::CkptError> {
+    /// Returns a [`CkptError`] when the payload is short or shaped for a
+    /// different fleet; implementations never panic on corrupt input.
+    fn restore_state(&mut self, _dec: &mut Dec<'_>) -> Result<(), CkptError> {
         Ok(())
     }
 }
+
+/// The declared layouts of every stateful policy's checkpoint state,
+/// folded into the fleet checkpoint fingerprint.
+pub(crate) const POLICY_SCHEMA: u64 = schema_fold(
+    schema_fold(RoundRobin::SCHEMA, PinnedMigrate::SCHEMA),
+    FailoverPolicy::<LeastLoaded>::SCHEMA,
+);
 
 /// Index of the smallest value over routable machines, lowest index on
 /// ties (strict `<` keeps the scan deterministic without any float
@@ -109,6 +114,8 @@ pub struct RoundRobin {
     next: usize,
 }
 
+dimetrodon_ckpt::state! { RoundRobin { persisted: next; derived: ; } }
+
 impl RoutePolicy for RoundRobin {
     fn name(&self) -> &'static str {
         "round-robin"
@@ -132,19 +139,12 @@ impl RoutePolicy for RoundRobin {
         chosen
     }
 
-    fn save_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.u64(self.next as u64);
+    fn save_state(&self, enc: &mut Enc) {
+        self.save(enc);
     }
 
-    fn restore_state(
-        &mut self,
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<(), dimetrodon_ckpt::CkptError> {
-        let next = dec.u64()?;
-        self.next = usize::try_from(next).map_err(|_| {
-            dimetrodon_ckpt::CkptError::Malformed(format!("round-robin cursor {next} overflows"))
-        })?;
-        Ok(())
+    fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.load(dec)
     }
 }
 
@@ -183,9 +183,18 @@ impl RoutePolicy for CoolestFirst {
 /// heaviest-demand tenant moves to the coolest machine.
 #[derive(Debug, Clone)]
 pub struct PinnedMigrate {
-    home: Vec<usize>,
+    home: Box<[usize]>,
+    machines: usize,
     hysteresis_celsius: f64,
     migrations: u64,
+}
+
+dimetrodon_ckpt::state! {
+    PinnedMigrate {
+        persisted: home, migrations;
+        derived: machines, hysteresis_celsius;
+        check: PinnedMigrate::check_restored;
+    }
 }
 
 impl PinnedMigrate {
@@ -194,8 +203,20 @@ impl PinnedMigrate {
         assert!(machines > 0, "need at least one machine");
         PinnedMigrate {
             home: (0..tenants).map(|t| t % machines).collect(),
+            machines,
             hysteresis_celsius,
             migrations: 0,
+        }
+    }
+
+    /// Every restored home must be a machine of this fleet.
+    fn check_restored(&self) -> Result<(), CkptError> {
+        match self.home.iter().find(|&&home| home >= self.machines) {
+            Some(home) => Err(CkptError::Malformed(format!(
+                "pinned-migrate home {home} outside a {}-machine fleet",
+                self.machines
+            ))),
+            None => Ok(()),
         }
     }
 
@@ -262,37 +283,12 @@ impl RoutePolicy for PinnedMigrate {
         }
     }
 
-    fn save_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.seq_len(self.home.len());
-        for &home in &self.home {
-            enc.u64(home as u64);
-        }
-        enc.u64(self.migrations);
+    fn save_state(&self, enc: &mut Enc) {
+        self.save(enc);
     }
 
-    fn restore_state(
-        &mut self,
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<(), dimetrodon_ckpt::CkptError> {
-        let tenants = dec.seq_len()?;
-        if tenants != self.home.len() {
-            return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "pinned-migrate table for {tenants} tenants restored into a {}-tenant fleet",
-                self.home.len()
-            )));
-        }
-        let mut home = Vec::with_capacity(tenants);
-        for _ in 0..tenants {
-            let machine = dec.u64()?;
-            home.push(usize::try_from(machine).map_err(|_| {
-                dimetrodon_ckpt::CkptError::Malformed(format!(
-                    "pinned-migrate home machine {machine} overflows"
-                ))
-            })?);
-        }
-        self.home = home;
-        self.migrations = dec.u64()?;
-        Ok(())
+    fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.load(dec)
     }
 }
 
@@ -309,14 +305,11 @@ impl<P: RoutePolicy + ?Sized> RoutePolicy for Box<P> {
         (**self).end_epoch(view);
     }
 
-    fn save_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
+    fn save_state(&self, enc: &mut Enc) {
         (**self).save_state(enc);
     }
 
-    fn restore_state(
-        &mut self,
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<(), dimetrodon_ckpt::CkptError> {
+    fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
         (**self).restore_state(dec)
     }
 }
@@ -340,6 +333,16 @@ pub struct FailoverPolicy<P: RoutePolicy> {
     /// constant within an epoch, so the fold must run exactly once.
     tracked_this_epoch: bool,
     holds: u64,
+}
+
+// The inner policy's state follows this wrapper's in the same frame,
+// written by `RoutePolicy::save_state`.
+dimetrodon_ckpt::state! {
+    FailoverPolicy<P: RoutePolicy> {
+        persisted: effective, up_streak, tracked_this_epoch, holds;
+        derived: inner, recovery_epochs;
+        check: FailoverPolicy::check_restored;
+    }
 }
 
 impl<P: RoutePolicy> std::fmt::Debug for FailoverPolicy<P> {
@@ -370,6 +373,12 @@ impl<P: RoutePolicy> FailoverPolicy<P> {
     /// one epoch by the hysteresis.
     pub fn holds(&self) -> u64 {
         self.holds
+    }
+
+    /// The restored health and streak vectors must agree in length.
+    fn check_restored(&self) -> Result<(), CkptError> {
+        let machines = self.effective.len();
+        dimetrodon_ckpt::check_len("failover up-streaks", self.up_streak.len(), machines)
     }
 
     /// Folds the advertised health into the effective health the inner
@@ -438,38 +447,13 @@ impl<P: RoutePolicy> RoutePolicy for FailoverPolicy<P> {
         self.tracked_this_epoch = false;
     }
 
-    fn save_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.seq_len(self.effective.len());
-        for &state in &self.effective {
-            enc.u8(state.encode_tag());
-        }
-        enc.u64_slice(&self.up_streak);
-        enc.bool(self.tracked_this_epoch);
-        enc.u64(self.holds);
+    fn save_state(&self, enc: &mut Enc) {
+        self.save(enc);
         self.inner.save_state(enc);
     }
 
-    fn restore_state(
-        &mut self,
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<(), dimetrodon_ckpt::CkptError> {
-        let machines = dec.seq_len()?;
-        let mut effective = Vec::with_capacity(machines.min(1 << 20));
-        for _ in 0..machines {
-            effective.push(HealthState::from_tag(dec.u8()?)?);
-        }
-        let up_streak = dec.u64_vec()?;
-        if up_streak.len() != effective.len() {
-            return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "failover wrapper with {} effective states but {} up-streaks",
-                effective.len(),
-                up_streak.len()
-            )));
-        }
-        self.effective = effective;
-        self.up_streak = up_streak;
-        self.tracked_this_epoch = dec.bool()?;
-        self.holds = dec.u64()?;
+    fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.load(dec)?;
         self.inner.restore_state(dec)
     }
 }

@@ -29,7 +29,7 @@
 //! power and temperature fall).
 
 use dimetrodon_analysis::Availability;
-use dimetrodon_ckpt::{CkptError, Dec, Enc};
+use dimetrodon_ckpt::{check_len, CkptError, Dec, Enc, State};
 use dimetrodon_faults::CrashBacklog;
 use dimetrodon_machine::{CoreId, Machine};
 use dimetrodon_power::CoreState;
@@ -89,13 +89,16 @@ pub struct RackReport {
 /// The fleet arena. Cloning a fleet mid-run forks the whole simulation —
 /// every machine, queue, QoS accumulator, and the RNG stream — so a clone
 /// stepped with an equivalent policy stays bit-identical to the original.
+/// A checkpoint saves the persisted fields listed below it; the derived
+/// ones (rack topology, the settled prototype, the QoS view) are rebuilt
+/// from the configuration, which the checkpoint's fingerprint pins.
 #[derive(Debug, Clone)]
 pub struct Fleet {
     config: FleetConfig,
     /// QoS scoring view derived from `config`.
     web: WebConfig,
     /// The machine arena; index is machine id everywhere below.
-    machines: Vec<Machine>,
+    machines: Box<[Machine]>,
     /// Rack of each machine.
     rack_of: Vec<usize>,
     /// Queued CPU-seconds per machine.
@@ -141,6 +144,16 @@ pub struct Fleet {
     stats: ChaosStats,
 }
 
+dimetrodon_ckpt::state! {
+    Fleet {
+        persisted: machines, backlog_cpu_s, inject_p, temps_celsius, tenant_weight,
+            tenant_demand_cpu_s, rack_qos, rack_peak_celsius, rack_temp_sq_sum,
+            rack_temp_samples, rng, epochs_run, health, down, wedged, crac, collect_chaos, stats;
+        derived: config, web, rack_of, prototype;
+        check: Fleet::check_restored;
+    }
+}
+
 /// Chaos accounting accumulated per epoch while collection is on.
 #[derive(Debug, Clone, Default)]
 struct ChaosStats {
@@ -157,6 +170,15 @@ struct ChaosStats {
     degraded_epochs: u64,
     /// Recovery-log entries already forwarded to `availability`.
     recoveries_fed: usize,
+}
+
+dimetrodon_ckpt::state! {
+    ChaosStats {
+        persisted: arrived_requests, routed_requests, shed_requests, arrived_cpu_s,
+            served_cpu_s, shed_cpu_s, availability, qos_healthy, qos_degraded, healthy_epochs,
+            degraded_epochs, recoveries_fed;
+        derived: ;
+    }
 }
 
 /// Availability-under-failure summary of one fleet run; `None`-valued
@@ -225,7 +247,7 @@ impl Fleet {
             machine.settle_idle();
             machine
         };
-        let machines: Vec<Machine> = (0..config.machines).map(|_| prototype.clone()).collect();
+        let machines: Box<[Machine]> = (0..config.machines).map(|_| prototype.clone()).collect();
         let temps_celsius: Vec<f64> = machines
             .iter()
             .map(Machine::mean_sensor_temperature)
@@ -677,199 +699,64 @@ pub fn run_fleet(config: &FleetConfig, policy: &mut dyn RoutePolicy) -> Vec<Rack
     fleet.reports()
 }
 
-impl ChaosStats {
-    fn encode_state(&self, enc: &mut Enc) {
-        enc.u64(self.arrived_requests);
-        enc.u64(self.routed_requests);
-        enc.u64(self.shed_requests);
-        enc.f64(self.arrived_cpu_s);
-        enc.f64(self.served_cpu_s);
-        enc.f64(self.shed_cpu_s);
-        self.availability.encode_state(enc);
-        self.qos_healthy.encode_state(enc);
-        self.qos_degraded.encode_state(enc);
-        enc.u64(self.healthy_epochs);
-        enc.u64(self.degraded_epochs);
-        enc.u64(self.recoveries_fed as u64);
-    }
-
-    fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Ok(ChaosStats {
-            arrived_requests: dec.u64()?,
-            routed_requests: dec.u64()?,
-            shed_requests: dec.u64()?,
-            arrived_cpu_s: dec.f64()?,
-            served_cpu_s: dec.f64()?,
-            shed_cpu_s: dec.f64()?,
-            availability: Availability::decode_state(dec)?,
-            qos_healthy: QosStats::decode_state(dec)?,
-            qos_degraded: QosStats::decode_state(dec)?,
-            healthy_epochs: dec.u64()?,
-            degraded_epochs: dec.u64()?,
-            recoveries_fed: dec.u64()? as usize,
-        })
-    }
-}
-
 impl Fleet {
     /// Serializes every piece of mutable run state — machine images,
     /// queues, controllers, QoS and chaos accumulators, the RNG stream,
-    /// and the health model — as one checkpoint frame payload. Derived
-    /// state (rack topology, the settled prototype, the QoS view) is not
-    /// written; [`Fleet::checkpoint_restore`] rebuilds it from the
-    /// configuration, which the checkpoint's fingerprint pins.
+    /// and the health model — as one checkpoint frame payload, through
+    /// the fleet's declared [`State`].
     pub fn checkpoint_encode(&self) -> Vec<u8> {
         let mut enc = Enc::new();
-        enc.seq_len(self.machines.len());
-        for machine in &self.machines {
-            machine.snapshot().encode_state(&mut enc);
-        }
-        enc.f64_slice(&self.backlog_cpu_s);
-        enc.f64_slice(&self.inject_p);
-        enc.f64_slice(&self.temps_celsius);
-        enc.f64_slice(&self.tenant_weight);
-        enc.f64_slice(&self.tenant_demand_cpu_s);
-        enc.seq_len(self.rack_qos.len());
-        for qos in &self.rack_qos {
-            qos.encode_state(&mut enc);
-        }
-        enc.f64_slice(&self.rack_peak_celsius);
-        enc.f64_slice(&self.rack_temp_sq_sum);
-        enc.u64_slice(&self.rack_temp_samples);
-        self.rng.encode_state(&mut enc);
-        enc.u64(self.epochs_run);
-        self.health.encode_state(&mut enc);
-        enc.bool_slice(&self.down);
-        enc.bool_slice(&self.wedged);
-        enc.seq_len(self.crac.len());
-        for entry in &self.crac {
-            match entry {
-                Some((scale, delta)) => {
-                    enc.u8(1);
-                    enc.f64(*scale);
-                    enc.f64(*delta);
-                }
-                None => enc.u8(0),
-            }
-        }
-        enc.bool(self.collect_chaos);
-        self.stats.encode_state(&mut enc);
+        self.save(&mut enc);
         enc.into_bytes()
     }
 
     /// Rebuilds a mid-run fleet from a [`checkpoint_encode`] payload: a
     /// fresh fleet is constructed from `config` (restoring the derived
-    /// state), then every mutable field is overwritten from the payload.
-    /// The restored fleet's remaining epochs are bit-identical to the
+    /// state), then every persisted field is loaded in place. The
+    /// restored fleet's remaining epochs are bit-identical to the
     /// original having continued uninterrupted.
     ///
     /// # Errors
     ///
     /// Returns a [`CkptError`] when the payload is short, malformed, or
-    /// shaped for a different fleet (wrong machine/rack/tenant counts) —
-    /// the load path never panics on corrupt input.
+    /// shaped for a different fleet (wrong machine/rack/tenant counts, a
+    /// P-state outside the machine's table) — the load path never panics
+    /// on corrupt input.
     ///
     /// [`checkpoint_encode`]: Fleet::checkpoint_encode
     pub fn checkpoint_restore(config: &FleetConfig, payload: &[u8]) -> Result<Fleet, CkptError> {
         let mut fleet = Fleet::new(config.clone());
         let mut dec = Dec::new(payload);
-
-        let machine_count = dec.seq_len()?;
-        if machine_count != fleet.machines.len() {
-            return Err(CkptError::Malformed(format!(
-                "checkpoint holds {machine_count} machines, fleet has {}",
-                fleet.machines.len()
-            )));
-        }
-        for machine in &mut fleet.machines {
-            let snapshot = dimetrodon_machine::MachineSnapshot::decode_state(&mut dec)?;
-            if !snapshot.shape_matches(machine) {
-                return Err(CkptError::Malformed(
-                    "machine snapshot shape does not match the fleet's machine".into(),
-                ));
-            }
-            machine.restore(&snapshot);
-        }
-
-        let racks = fleet.config.racks();
-        let expect = |name: &str, got: usize, want: usize| -> Result<(), CkptError> {
-            if got == want {
-                Ok(())
-            } else {
-                Err(CkptError::Malformed(format!(
-                    "checkpoint {name} length {got}, fleet expects {want}"
-                )))
-            }
-        };
-
-        let backlog_cpu_s = dec.f64_vec()?;
-        expect("backlog", backlog_cpu_s.len(), machine_count)?;
-        let inject_p = dec.f64_vec()?;
-        expect("inject_p", inject_p.len(), machine_count)?;
-        let temps_celsius = dec.f64_vec()?;
-        expect("temps", temps_celsius.len(), machine_count)?;
-        let tenant_weight = dec.f64_vec()?;
-        expect("tenant weights", tenant_weight.len(), fleet.config.tenants)?;
-        let tenant_demand_cpu_s = dec.f64_vec()?;
-        expect("tenant demand", tenant_demand_cpu_s.len(), fleet.config.tenants)?;
-
-        let qos_count = dec.seq_len()?;
-        expect("rack qos", qos_count, racks)?;
-        let mut rack_qos = Vec::with_capacity(qos_count);
-        for _ in 0..qos_count {
-            rack_qos.push(QosStats::decode_state(&mut dec)?);
-        }
-        let rack_peak_celsius = dec.f64_vec()?;
-        expect("rack peaks", rack_peak_celsius.len(), racks)?;
-        let rack_temp_sq_sum = dec.f64_vec()?;
-        expect("rack temp squares", rack_temp_sq_sum.len(), racks)?;
-        let rack_temp_samples = dec.u64_vec()?;
-        expect("rack temp samples", rack_temp_samples.len(), racks)?;
-
-        let rng = SimRng::decode_state(&mut dec)?;
-        let epochs_run = dec.u64()?;
-        let health = HealthModel::decode_state(&mut dec)?;
-        let down = dec.bool_vec()?;
-        expect("down flags", down.len(), machine_count)?;
-        let wedged = dec.bool_vec()?;
-        expect("wedged flags", wedged.len(), machine_count)?;
-
-        let crac_count = dec.seq_len()?;
-        expect("crac entries", crac_count, racks)?;
-        let mut crac = Vec::with_capacity(crac_count);
-        for _ in 0..crac_count {
-            crac.push(match dec.u8()? {
-                0 => None,
-                1 => Some((dec.f64()?, dec.f64()?)),
-                tag => {
-                    return Err(CkptError::Malformed(format!(
-                        "unknown crac tag {tag}"
-                    )))
-                }
-            });
-        }
-        let collect_chaos = dec.bool()?;
-        let stats = ChaosStats::decode_state(&mut dec)?;
+        fleet.load(&mut dec)?;
         dec.finish()?;
-
-        fleet.backlog_cpu_s = backlog_cpu_s;
-        fleet.inject_p = inject_p;
-        fleet.temps_celsius = temps_celsius;
-        fleet.tenant_weight = tenant_weight;
-        fleet.tenant_demand_cpu_s = tenant_demand_cpu_s;
-        fleet.rack_qos = rack_qos;
-        fleet.rack_peak_celsius = rack_peak_celsius;
-        fleet.rack_temp_sq_sum = rack_temp_sq_sum;
-        fleet.rack_temp_samples = rack_temp_samples;
-        fleet.rng = rng;
-        fleet.epochs_run = epochs_run;
-        fleet.health = health;
-        fleet.down = down;
-        fleet.wedged = wedged;
-        fleet.crac = crac;
-        fleet.collect_chaos = collect_chaos;
-        fleet.stats = stats;
         Ok(fleet)
+    }
+
+    /// Restored per-machine, per-rack and per-tenant vectors must match
+    /// the configured fleet; the machines themselves are a boxed slice
+    /// whose length is fixed at construction.
+    fn check_restored(&self) -> Result<(), CkptError> {
+        let machines = self.config.machines;
+        let racks = self.config.racks();
+        let tenants = self.config.tenants;
+        for (what, got, want) in [
+            ("backlog", self.backlog_cpu_s.len(), machines),
+            ("inject_p", self.inject_p.len(), machines),
+            ("temps", self.temps_celsius.len(), machines),
+            ("health states", self.health.states().len(), machines),
+            ("down flags", self.down.len(), machines),
+            ("wedged flags", self.wedged.len(), machines),
+            ("tenant weights", self.tenant_weight.len(), tenants),
+            ("tenant demand", self.tenant_demand_cpu_s.len(), tenants),
+            ("rack qos", self.rack_qos.len(), racks),
+            ("rack peaks", self.rack_peak_celsius.len(), racks),
+            ("rack temp squares", self.rack_temp_sq_sum.len(), racks),
+            ("rack temp samples", self.rack_temp_samples.len(), racks),
+            ("crac entries", self.crac.len(), racks),
+        ] {
+            check_len(what, got, want)?;
+        }
+        Ok(())
     }
 }
 

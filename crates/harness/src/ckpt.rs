@@ -7,7 +7,8 @@
 //! byte serialization, so the runner uses the other honest design —
 //! **verified deterministic replay**. A checkpoint records the event
 //! count, the simulated clock, and the machine model's exact state
-//! bytes; restore rebuilds the system from its config (a pure function),
+//! bytes (its [`State`] codec); restore rebuilds the system from its
+//! config (a pure function),
 //! replays the recorded number of events through the same
 //! pop/advance/dispatch loop, and then *proves* the trajectory matches
 //! by comparing the live machine state against the checkpoint bit for
@@ -23,8 +24,8 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use dimetrodon_ckpt::{fnv1a64, CheckpointStore, CkptError, Dec, Enc};
-use dimetrodon_machine::MachineConfig;
+use dimetrodon_ckpt::{fnv1a64, schema_fold, CheckpointStore, CkptError, Dec, Enc, State};
+use dimetrodon_machine::{Machine, MachineConfig};
 use dimetrodon_sched::System;
 use dimetrodon_sim_core::SimTime;
 
@@ -142,7 +143,7 @@ fn frames(events: u64, system: &System) -> Vec<Vec<u8>> {
     meta.u64(events);
     meta.u64(system.now().as_nanos());
     let mut machine = Enc::new();
-    system.machine().snapshot().encode_state(&mut machine);
+    system.machine().save(&mut machine);
     vec![meta.into_bytes(), machine.into_bytes()]
 }
 
@@ -150,7 +151,9 @@ fn frames(events: u64, system: &System) -> Vec<Vec<u8>> {
 /// [`System::run_until`](dimetrodon_sched::System::run_until), but in
 /// event-count chunks with a durable checkpoint after each chunk, under
 /// `spec`. `key` must identify everything the run is a function of
-/// (machine config, workload, actuation, run config); `label` names the
+/// (machine config, workload, actuation, run config); the store folds in
+/// the machine's declared [`State::SCHEMA`], so a checkpoint written
+/// under another field set is never a candidate. `label` names the
 /// checkpoint files.
 ///
 /// With `spec.restore` set and a verifiable checkpoint on disk, the
@@ -171,7 +174,12 @@ pub fn run_until_checkpointed(
     label: &str,
     spec: &RunCheckpointSpec,
 ) -> Result<RunCkptReport, CkptError> {
-    let store = CheckpointStore::new(&spec.dir, &format!("run-{label}"), key, spec.keep);
+    let store = CheckpointStore::new(
+        &spec.dir,
+        &format!("run-{label}"),
+        schema_fold(key, Machine::SCHEMA),
+        spec.keep,
+    );
     let mut report = RunCkptReport::default();
     let mut events_done: u64 = 0;
 
@@ -204,7 +212,7 @@ pub fn run_until_checkpointed(
                 return Err(CkptError::StateMismatch);
             }
             let mut live = Enc::new();
-            system.machine().snapshot().encode_state(&mut live);
+            system.machine().save(&mut live);
             if live.into_bytes() != loaded.frames[1] {
                 return Err(CkptError::StateMismatch);
             }
@@ -269,7 +277,7 @@ mod tests {
 
     fn machine_bytes(system: &System) -> Vec<u8> {
         let mut enc = Enc::new();
-        system.machine().snapshot().encode_state(&mut enc);
+        system.machine().save(&mut enc);
         enc.into_bytes()
     }
 

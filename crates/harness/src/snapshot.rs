@@ -6,9 +6,9 @@
 //! non-zero [`RunConfig::warmup`](crate::RunConfig::warmup) the runner
 //! routes that prefix through this cache: the first point with a given
 //! (machine, workload, warmup) triple builds the system, drives it to the
-//! end of the prefix, and deposits a [`SystemSnapshot`]; every later
-//! point forks the snapshot instead of recomputing the prefix. A grid of
-//! N points pays one warmup and forks N times.
+//! end of the prefix, and deposits a clone of the [`System`]; every later
+//! point forks it — a plain `Clone` — instead of recomputing the prefix. A
+//! grid of N points pays one warmup and forks N times.
 //!
 //! # Why this cannot change results
 //!
@@ -36,9 +36,9 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dimetrodon_ckpt::fnv1a64;
+use dimetrodon_ckpt::{fnv1a64, Enc};
 use dimetrodon_machine::{IdleMode, MachineConfig};
-use dimetrodon_sched::{System, SystemSnapshot};
+use dimetrodon_sched::System;
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::SpecBenchmark;
 
@@ -62,8 +62,8 @@ static FORKS_SERVED: AtomicU64 = AtomicU64::new(0);
 const CACHE_CAP: usize = 8;
 
 thread_local! {
-    /// Per-worker snapshot store, most recently used last.
-    static CACHE: RefCell<Vec<(u64, SystemSnapshot)>> = const { RefCell::new(Vec::new()) };
+    /// Per-worker store of warmed systems, most recently used last.
+    static CACHE: RefCell<Vec<(u64, System)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Enables or disables warm-prefix reuse for every subsequent run.
@@ -76,7 +76,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Clears the calling thread's snapshot store and zeroes the global
+/// Clears the calling thread's warm-prefix store and zeroes the global
 /// reuse counters. Benchmarks call this per iteration so each iteration
 /// honestly pays its one warmup.
 pub fn reset() {
@@ -102,120 +102,92 @@ pub fn stats() -> SnapshotStats {
     }
 }
 
-/// Byte accumulator behind [`warm_key`]: every ingredient contributes its
-/// exact bit pattern. `Debug` renderings are *not* a stable identity —
-/// float formatting is lossy about representation, and a `Debug` impl can
-/// legally omit fields (so a newly added piece of state, like the thermal
-/// boundary temperature, could silently alias two distinct prefixes).
-struct KeyFeed(Vec<u8>);
+/// Appends every field of a [`MachineConfig`] — if a field is added, this
+/// exhaustive walk is where it must join the key. Every ingredient
+/// contributes its exact bit pattern, and every enum or `Option` a tag
+/// byte, so adjacent sections never alias. `Debug` renderings are *not* a
+/// stable identity: float formatting is lossy about representation, and a
+/// `Debug` impl can legally omit fields. Public so downstream identities
+/// that must distinguish any two configurations the cache would (the
+/// fleet journal fingerprint) embed the same bytes instead of growing a
+/// second, independently-maintained walk.
+pub fn encode_machine_config(enc: &mut Enc, m: &MachineConfig) {
+    enc.u64(m.num_cores as u64);
+    enc.u64(m.threads_per_core as u64);
 
-impl KeyFeed {
-    fn new() -> Self {
-        KeyFeed(Vec::with_capacity(256))
-    }
+    enc.f64(m.core_power.c_eff);
+    enc.f64(m.core_power.leak_coeff);
+    enc.f64(m.core_power.leak_t0);
+    enc.f64(m.core_power.leak_tc);
+    enc.f64(m.core_power.c1e_residual);
+    enc.f64(m.core_power.c6_residual);
+    enc.f64(m.core_power.nop_activity);
 
-    /// A discriminant or presence byte. Every enum/Option feeds one, so
-    /// adjacent variable-length sections can never alias each other.
-    fn tag(&mut self, t: u8) {
-        self.0.push(t);
-    }
+    enc.f64(m.package_power.uncore);
 
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn duration(&mut self, d: SimDuration) {
-        self.u64(d.as_nanos());
-    }
-}
-
-/// Feeds every field of a [`MachineConfig`] — if a field is added, this
-/// exhaustive walk is where it must join the key.
-fn feed_machine(feed: &mut KeyFeed, m: &MachineConfig) {
-    feed.usize(m.num_cores);
-    feed.usize(m.threads_per_core);
-
-    feed.f64(m.core_power.c_eff);
-    feed.f64(m.core_power.leak_coeff);
-    feed.f64(m.core_power.leak_t0);
-    feed.f64(m.core_power.leak_tc);
-    feed.f64(m.core_power.c1e_residual);
-    feed.f64(m.core_power.c6_residual);
-    feed.f64(m.core_power.nop_activity);
-
-    feed.f64(m.package_power.uncore);
-
-    feed.usize(m.pstates.len());
+    enc.u64(m.pstates.len() as u64);
     for (id, pstate) in m.pstates.iter() {
-        feed.usize(id.0);
-        feed.u64(pstate.frequency_mhz() as u64);
-        feed.f64(pstate.voltage());
+        enc.u64(id.0 as u64);
+        enc.u64(pstate.frequency_mhz() as u64);
+        enc.f64(pstate.voltage());
     }
 
-    feed.f64(m.thermal.ambient_celsius);
-    feed.f64(m.thermal.die_capacitance);
-    feed.f64(m.thermal.die_to_package);
-    feed.f64(m.thermal.hotspot_capacitance);
-    feed.f64(m.thermal.hotspot_to_die);
-    feed.f64(m.thermal.hotspot_power_fraction);
-    feed.f64(m.thermal.die_to_die);
-    feed.f64(m.thermal.package_capacitance);
-    feed.f64(m.thermal.package_to_heatsink);
-    feed.f64(m.thermal.heatsink_capacitance);
-    feed.f64(m.thermal.heatsink_to_ambient);
+    enc.f64(m.thermal.ambient_celsius);
+    enc.f64(m.thermal.die_capacitance);
+    enc.f64(m.thermal.die_to_package);
+    enc.f64(m.thermal.hotspot_capacitance);
+    enc.f64(m.thermal.hotspot_to_die);
+    enc.f64(m.thermal.hotspot_power_fraction);
+    enc.f64(m.thermal.die_to_die);
+    enc.f64(m.thermal.package_capacitance);
+    enc.f64(m.thermal.package_to_heatsink);
+    enc.f64(m.thermal.heatsink_capacitance);
+    enc.f64(m.thermal.heatsink_to_ambient);
 
-    feed.tag(match m.idle_mode {
+    enc.u8(match m.idle_mode {
         IdleMode::C1e => 0,
         IdleMode::NopLoop => 1,
     });
 
     match &m.deep_idle {
-        None => feed.tag(0),
+        None => enc.u8(0),
         Some(deep) => {
-            feed.tag(1);
-            feed.duration(deep.min_residency);
-            feed.duration(deep.extra_resume_penalty);
+            enc.u8(1);
+            enc.u64(deep.min_residency.as_nanos());
+            enc.u64(deep.extra_resume_penalty.as_nanos());
         }
     }
 
     match &m.thermal_throttle {
-        None => feed.tag(0),
+        None => enc.u8(0),
         Some(throttle) => {
-            feed.tag(1);
-            feed.f64(throttle.trigger_celsius);
-            feed.f64(throttle.hysteresis);
-            feed.f64(throttle.throttle_duty);
+            enc.u8(1);
+            enc.f64(throttle.trigger_celsius);
+            enc.f64(throttle.hysteresis);
+            enc.f64(throttle.throttle_duty);
         }
     }
 
     match &m.thermal_trip {
-        None => feed.tag(0),
+        None => enc.u8(0),
         Some(trip) => {
-            feed.tag(1);
-            feed.f64(trip.critical_celsius);
-            feed.f64(trip.release_celsius);
-            feed.f64(trip.trip_duty);
-            feed.duration(trip.min_hold);
+            enc.u8(1);
+            enc.f64(trip.critical_celsius);
+            enc.f64(trip.release_celsius);
+            enc.f64(trip.trip_duty);
+            enc.u64(trip.min_hold.as_nanos());
         }
     }
 
-    feed.tag(m.per_core_dvfs as u8);
+    enc.bool(m.per_core_dvfs);
 }
 
-fn feed_workload(feed: &mut KeyFeed, workload: SaturatingWorkload) {
+fn encode_workload(enc: &mut Enc, workload: SaturatingWorkload) {
     match workload {
-        SaturatingWorkload::CpuBurn => feed.tag(0),
+        SaturatingWorkload::CpuBurn => enc.u8(0),
         SaturatingWorkload::Spec(bench) => {
-            feed.tag(1);
-            feed.tag(match bench {
+            enc.u8(1);
+            enc.u8(match bench {
                 SpecBenchmark::Calculix => 0,
                 SpecBenchmark::Namd => 1,
                 SpecBenchmark::DealII => 2,
@@ -227,38 +199,33 @@ fn feed_workload(feed: &mut KeyFeed, workload: SaturatingWorkload) {
     }
 }
 
-/// Explicit byte serialization of a [`MachineConfig`]: the exact
-/// field-by-field encoding the warm-prefix cache key is built over.
-/// Public so downstream identities that must distinguish any two
-/// configurations the cache would distinguish (the fleet journal
-/// fingerprint) can embed the same bytes instead of growing a second,
-/// independently-maintained walk.
+/// The bytes [`encode_machine_config`] writes, on their own.
 pub fn machine_config_bytes(machine: &MachineConfig) -> Vec<u8> {
-    let mut feed = KeyFeed::new();
-    feed_machine(&mut feed, machine);
-    feed.0
+    let mut enc = Enc::new();
+    encode_machine_config(&mut enc, machine);
+    enc.into_bytes()
 }
 
 /// The cache key of a warm prefix: FNV-1a64 (the supervisor's fingerprint
 /// hash) over an explicit field-by-field byte serialization of everything
 /// the prefix depends on. The seed is deliberately absent — the unactuated
 /// prefix draws no randomness — which is exactly what lets a whole
-/// seed-varied grid share one snapshot.
+/// seed-varied grid share one warm prefix.
 pub(crate) fn warm_key(
     machine: &MachineConfig,
     workload: SaturatingWorkload,
     warmup: SimDuration,
 ) -> u64 {
-    let mut feed = KeyFeed::new();
-    feed_machine(&mut feed, machine);
-    feed_workload(&mut feed, workload);
-    feed.duration(warmup);
-    fnv1a64(&feed.0)
+    let mut enc = Enc::new();
+    encode_machine_config(&mut enc, machine);
+    encode_workload(&mut enc, workload);
+    enc.u64(warmup.as_nanos());
+    fnv1a64(&enc.into_bytes())
 }
 
-/// Returns a system warmed to the end of its prefix: a fork of the cached
-/// snapshot under `key`, or the result of `build` (cached for next time)
-/// on a miss. With the cache disabled, always builds and never stores.
+/// Returns a system warmed to the end of its prefix: a clone of the one
+/// cached under `key`, or the result of `build` (cached for next time) on
+/// a miss. With the cache disabled, always builds and never stores.
 pub(crate) fn warmed(key: u64, build: impl FnOnce() -> System) -> System {
     if !enabled() {
         WARMUPS_PAID.fetch_add(1, Ordering::Relaxed);
@@ -270,7 +237,7 @@ pub(crate) fn warmed(key: u64, build: impl FnOnce() -> System) -> System {
         // Move the entry to the back: eviction takes the front (least
         // recently used).
         let entry = cache.remove(pos);
-        let fork = entry.1.fork();
+        let fork = entry.1.clone();
         cache.push(entry);
         Some(fork)
     });
@@ -285,7 +252,7 @@ pub(crate) fn warmed(key: u64, build: impl FnOnce() -> System) -> System {
         if cache.len() >= CACHE_CAP {
             cache.remove(0);
         }
-        cache.push((key, system.snapshot()));
+        cache.push((key, system.clone()));
     });
     system
 }
@@ -304,6 +271,19 @@ mod tests {
     fn tiny_system() -> System {
         let machine = Machine::new(MachineConfig::xeon_e5520()).expect("preset");
         System::new(machine)
+    }
+
+    /// One cpuburn prefix's key, pinned: a change to the bytes the key is
+    /// built over would silently re-key every cached prefix.
+    #[test]
+    fn warm_key_is_pinned() {
+        let warmup = crate::RunConfig::quick(7)
+            .with_warmup(SimDuration::from_secs(25))
+            .warmup;
+        assert_eq!(
+            warm_key(&MachineConfig::xeon_e5520(), SaturatingWorkload::CpuBurn, warmup),
+            0xb54e_c0f3_8cee_ce5e
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Bit-exactness of warm-prefix sharing: a forked snapshot must resume
-//! exactly as a run that never stopped, at every worker count, with the
+//! Bit-exactness of warm-prefix sharing: a forked (cloned) system must
+//! resume exactly as a run that never stopped, at every worker count, with the
 //! snapshot cache on or off. These are the properties that make the
 //! `--no-snapshot` flag a timing knob rather than a correctness knob.
 
@@ -63,7 +63,7 @@ fn fork_resumes_bit_identically_to_the_original() {
         system
     };
     let mut original = build();
-    let mut fork = original.snapshot().fork();
+    let mut fork = original.clone();
 
     let end = SimTime::ZERO + SimDuration::from_secs(25);
     original.run_until(end);

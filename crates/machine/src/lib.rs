@@ -40,4 +40,4 @@ mod config;
 mod machine;
 
 pub use config::{DeepIdleConfig, IdleMode, MachineConfig, ThermalSpec, ThermalThrottle, ThermalTrip};
-pub use machine::{CoreId, Machine, MachineError, MachineSnapshot, MIN_TCC_DUTY};
+pub use machine::{CoreId, Machine, MachineError, MIN_TCC_DUTY};

@@ -4,9 +4,8 @@ use std::fmt;
 
 use dimetrodon_power::{CoreState, EnergyMeter, PState, PStateId};
 use dimetrodon_sim_core::SimDuration;
-use dimetrodon_thermal::{
-    NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder, ThermalSnapshot,
-};
+use dimetrodon_ckpt::CkptError;
+use dimetrodon_thermal::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder};
 
 use crate::config::{IdleMode, MachineConfig};
 
@@ -136,23 +135,24 @@ enum CombinedState {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// A checkpoint holds the mutable state — thermal conditions, core and
+/// P-states, DTM latches, clock, energy — through
+/// [`State`](dimetrodon_ckpt::State), and loads only into a machine built
+/// from the same configuration.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    // simlint::shared: immutable after construction; snapshots capture
-    // only mutable state and may only be restored onto the same config.
     config: MachineConfig,
     network: ThermalNetwork,
-    // simlint::shared: node indices derived from the immutable topology.
+    /// Node indices derived from the immutable topology.
     die_nodes: Vec<NodeId>,
-    // simlint::shared: node indices derived from the immutable topology.
     hotspot_nodes: Vec<NodeId>,
-    // simlint::shared: node index derived from the immutable topology.
     package_node: NodeId,
-    core_states: Vec<CoreState>,
+    core_states: Box<[CoreState]>,
     pstate: PStateId,
     /// Per-physical-core P-state overrides (only when the configuration
     /// enables per-core DVFS); `None` follows the chip-wide setting.
-    core_pstates: Vec<Option<PStateId>>,
+    core_pstates: Box<[Option<PStateId>]>,
     tcc_duty: f64,
     /// Whether the reactive thermal throttle is currently tripped.
     throttled: bool,
@@ -167,115 +167,17 @@ pub struct Machine {
     tripped_at: SimDuration,
     energy: EnergyMeter,
     /// Reusable buffer for per-physical-core powers inside `advance`, so
-    /// the hot path neither allocates nor evaluates the power model twice.
-    // simlint::shared: scratch, fully overwritten before every use.
+    /// the hot path neither allocates nor evaluates the power model twice;
+    /// fully overwritten before every use.
     power_scratch: Vec<f64>,
 }
 
-/// A checkpoint of a [`Machine`]'s mutable state: thermal conditions, core
-/// and P-states, DTM latches, clock, and the energy meter. The
-/// configuration and thermal topology are not captured — a snapshot can
-/// only be [`restore`](Machine::restore)d onto a machine built from the
-/// same configuration.
-#[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    network: ThermalSnapshot,
-    core_states: Vec<CoreState>,
-    pstate: PStateId,
-    core_pstates: Vec<Option<PStateId>>,
-    tcc_duty: f64,
-    throttled: bool,
-    tripped: bool,
-    trip_count: u64,
-    clock: SimDuration,
-    tripped_at: SimDuration,
-    energy: EnergyMeter,
-}
-
-impl MachineSnapshot {
-    /// Serializes the snapshot for a durable checkpoint, composing the
-    /// thermal, power, and energy codecs.
-    pub fn encode_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        self.network.encode_state(enc);
-        enc.seq_len(self.core_states.len());
-        for state in &self.core_states {
-            state.encode_state(enc);
-        }
-        enc.u64(self.pstate.0 as u64);
-        enc.seq_len(self.core_pstates.len());
-        for pstate in &self.core_pstates {
-            match pstate {
-                Some(id) => {
-                    enc.u8(1);
-                    enc.u64(id.0 as u64);
-                }
-                None => enc.u8(0),
-            }
-        }
-        enc.f64(self.tcc_duty);
-        enc.bool(self.throttled);
-        enc.bool(self.tripped);
-        enc.u64(self.trip_count);
-        enc.u64(self.clock.as_nanos());
-        enc.u64(self.tripped_at.as_nanos());
-        self.energy.encode_state(enc);
-    }
-
-    /// Rebuilds a snapshot from [`encode_state`](Self::encode_state)
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short payload, a bad
-    /// tag, or mismatched per-core vector lengths — never a panic, so a
-    /// corrupt checkpoint that slipped past framing still cannot take the
-    /// process down.
-    pub fn decode_state(
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        let network = ThermalSnapshot::decode_state(dec)?;
-        let threads = dec.seq_len()?;
-        let mut core_states = Vec::with_capacity(threads.min(1 << 16));
-        for _ in 0..threads {
-            core_states.push(CoreState::decode_state(dec)?);
-        }
-        let pstate = PStateId(dec.u64()? as usize);
-        let cores = dec.seq_len()?;
-        let mut core_pstates = Vec::with_capacity(cores.min(1 << 16));
-        for _ in 0..cores {
-            core_pstates.push(match dec.u8()? {
-                0 => None,
-                1 => Some(PStateId(dec.u64()? as usize)),
-                tag => {
-                    return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                        "unknown per-core pstate tag {tag}"
-                    )))
-                }
-            });
-        }
-        Ok(MachineSnapshot {
-            network,
-            core_states,
-            pstate,
-            core_pstates,
-            tcc_duty: dec.f64()?,
-            throttled: dec.bool()?,
-            tripped: dec.bool()?,
-            trip_count: dec.u64()?,
-            clock: SimDuration::from_nanos(dec.u64()?),
-            tripped_at: SimDuration::from_nanos(dec.u64()?),
-            energy: EnergyMeter::decode_state(dec)?,
-        })
-    }
-
-    /// Whether this snapshot's shape (thermal nodes, thread and core
-    /// counts) matches the machine it would restore onto — the check
-    /// [`Machine::restore`] asserts, exposed so load paths can reject a
-    /// decoded-but-wrong-shape snapshot with a typed error instead.
-    pub fn shape_matches(&self, machine: &Machine) -> bool {
-        self.network.node_count() == machine.network.node_count()
-            && self.core_states.len() == machine.core_states.len()
-            && self.core_pstates.len() == machine.core_pstates.len()
+dimetrodon_ckpt::state! {
+    Machine {
+        persisted: network, core_states, pstate, core_pstates, tcc_duty, throttled, tripped,
+            trip_count, clock, tripped_at, energy;
+        derived: config, die_nodes, hotspot_nodes, package_node, power_scratch;
+        check: Machine::check_restored;
     }
 }
 
@@ -333,14 +235,14 @@ impl Machine {
         let idle_state = config.idle_mode.core_state();
         let num_physical = config.num_cores;
         Ok(Machine {
-            core_states: vec![idle_state; config.num_cores * config.threads_per_core],
+            core_states: vec![idle_state; config.num_cores * config.threads_per_core].into(),
             config,
             network,
             die_nodes,
             hotspot_nodes,
             package_node,
             pstate: PStateId(0),
-            core_pstates: vec![None; num_physical],
+            core_pstates: vec![None; num_physical].into(),
             tcc_duty: 1.0,
             throttled: false,
             tripped: false,
@@ -893,54 +795,20 @@ impl Machine {
         self.network.heat_to_ambient()
     }
 
-    /// Captures the machine's mutable state for later
-    /// [`restore`](Machine::restore).
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            network: self.network.snapshot(),
-            core_states: self.core_states.clone(),
-            pstate: self.pstate,
-            core_pstates: self.core_pstates.clone(),
-            tcc_duty: self.tcc_duty,
-            throttled: self.throttled,
-            tripped: self.tripped,
-            trip_count: self.trip_count,
-            clock: self.clock,
-            tripped_at: self.tripped_at,
-            energy: self.energy.clone(),
+    /// Restored P-state ids, chip-wide and per core, must index this
+    /// machine's table.
+    fn check_restored(&self) -> Result<(), CkptError> {
+        let table = self.config.pstates.len();
+        let ids = std::iter::once(self.pstate).chain(self.core_pstates.iter().flatten().copied());
+        for id in ids {
+            if id.0 >= table {
+                return Err(CkptError::Malformed(format!(
+                    "P-state {} outside the machine's {table}-entry table",
+                    id.0
+                )));
+            }
         }
-    }
-
-    /// Rewinds the machine to a previously captured snapshot. Advancing
-    /// afterwards is bit-identical to advancing an uninterrupted machine
-    /// from the same state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a machine with a different
-    /// core or thread count.
-    pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        assert_eq!(
-            snapshot.core_states.len(),
-            self.core_states.len(),
-            "snapshot logical CPU count mismatch"
-        );
-        assert_eq!(
-            snapshot.core_pstates.len(),
-            self.core_pstates.len(),
-            "snapshot physical core count mismatch"
-        );
-        self.network.restore(&snapshot.network);
-        self.core_states.copy_from_slice(&snapshot.core_states);
-        self.pstate = snapshot.pstate;
-        self.core_pstates.copy_from_slice(&snapshot.core_pstates);
-        self.tcc_duty = snapshot.tcc_duty;
-        self.throttled = snapshot.throttled;
-        self.tripped = snapshot.tripped;
-        self.trip_count = snapshot.trip_count;
-        self.clock = snapshot.clock;
-        self.tripped_at = snapshot.tripped_at;
-        self.energy = snapshot.energy.clone();
+        Ok(())
     }
 }
 
@@ -948,10 +816,25 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::config::{ThermalThrottle, ThermalTrip};
+    use dimetrodon_ckpt::State;
     use proptest::prelude::*;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::xeon_e5520()).expect("valid preset")
+    }
+
+    /// The machine's checkpoint bytes.
+    fn saved(m: &Machine) -> Vec<u8> {
+        let mut enc = dimetrodon_ckpt::Enc::new();
+        m.save(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Loads checkpoint bytes in place, keeping config and caches.
+    fn load(m: &mut Machine, bytes: &[u8]) -> Result<(), CkptError> {
+        let mut dec = dimetrodon_ckpt::Dec::new(bytes);
+        m.load(&mut dec)?;
+        dec.finish()
     }
 
     fn all_active(m: &mut Machine) {
@@ -987,16 +870,16 @@ mod tests {
     }
 
     #[test]
-    fn inlet_round_trips_through_machine_snapshot() {
+    fn inlet_round_trips_through_a_machine_checkpoint() {
         let mut m = machine();
         m.set_inlet_celsius(31.0);
         all_active(&mut m);
         m.advance(SimDuration::from_secs(5));
-        let snap = m.snapshot();
+        let snap = saved(&m);
         let reference = m.clone();
         m.set_inlet_celsius(22.0);
         m.advance(SimDuration::from_secs(5));
-        m.restore(&snap);
+        load(&mut m, &snap).unwrap();
         assert_eq!(m.inlet_celsius(), 31.0);
         let mut replay = reference;
         m.advance(SimDuration::from_secs(5));
@@ -1200,12 +1083,40 @@ mod tests {
         assert_eq!(temps, after);
     }
 
+    /// Overwrites the 8-byte word at the first byte where two images of
+    /// one machine differ with `value`.
+    fn rewrite_first_difference(a: &[u8], b: &[u8], value: u64) -> Vec<u8> {
+        let word = (0..a.len()).find(|&i| a[i] != b[i]).expect("images differ");
+        let mut bad = a.to_vec();
+        bad[word..word + 8].copy_from_slice(&value.to_le_bytes());
+        bad
+    }
+
     #[test]
-    fn snapshot_restore_then_advance_is_bit_exact() {
+    fn restored_pstates_outside_the_table_are_malformed() {
+        let mut m = machine();
+        let at_p0 = saved(&m);
+        m.set_pstate(PStateId(1));
+        let bad = rewrite_first_difference(&at_p0, &saved(&m), 99);
+        assert!(matches!(load(&mut machine(), &bad), Err(CkptError::Malformed(_))));
+
+        let mut config = MachineConfig::xeon_e5520();
+        config.per_core_dvfs = true;
+        let mut m = Machine::new(config.clone()).unwrap();
+        m.set_core_pstate(0, Some(PStateId(1)));
+        let at_p1 = saved(&m);
+        m.set_core_pstate(0, Some(PStateId(2)));
+        let bad = rewrite_first_difference(&at_p1, &saved(&m), 99);
+        let mut fresh = Machine::new(config).unwrap();
+        assert!(matches!(load(&mut fresh, &bad), Err(CkptError::Malformed(_))));
+    }
+
+    #[test]
+    fn checkpoint_load_then_advance_is_bit_exact() {
         let mut m = machine();
         all_active(&mut m);
         m.advance(SimDuration::from_secs(3));
-        let snap = m.snapshot();
+        let snap = saved(&m);
 
         let mut straight = m.clone();
         for _ in 0..50 {
@@ -1220,7 +1131,7 @@ mod tests {
             m.set_core_state(core, CoreState::IdleC1e);
         }
         m.advance(SimDuration::from_secs_f64(0.7531));
-        m.restore(&snap);
+        load(&mut m, &snap).unwrap();
         for _ in 0..50 {
             m.advance(SimDuration::from_millis(37));
         }

@@ -97,11 +97,15 @@ impl CoreState {
     pub fn is_active(self) -> bool {
         matches!(self, CoreState::Active { .. })
     }
+}
 
-    /// Serializes the state as a tag byte (plus the activity factor's
-    /// IEEE-754 bits for `Active`) for a durable checkpoint.
-    pub fn encode_state(self, enc: &mut dimetrodon_ckpt::Enc) {
-        match self {
+/// A tag byte, plus the activity factor's IEEE-754 bits for `Active`.
+/// Loading rejects an unknown tag and an activity outside `[0, 1]`.
+impl dimetrodon_ckpt::State for CoreState {
+    const SCHEMA: u64 = dimetrodon_ckpt::fnv1a64(b"CoreState Active(f64) IdleC1e IdleC6 IdleNop");
+
+    fn save(&self, enc: &mut dimetrodon_ckpt::Enc) {
+        match *self {
             CoreState::Active { activity } => {
                 enc.u8(0);
                 enc.f64(activity.value());
@@ -112,35 +116,27 @@ impl CoreState {
         }
     }
 
-    /// Rebuilds a state from [`encode_state`](Self::encode_state) bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short payload, an
-    /// unknown tag, or an activity outside `[0, 1]` — decode never
-    /// panics, even on corrupt input.
-    pub fn decode_state(
+    fn load(
+        &mut self,
         dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        match dec.u8()? {
+    ) -> Result<(), dimetrodon_ckpt::CkptError> {
+        use dimetrodon_ckpt::CkptError::Malformed;
+        *self = match dec.u8()? {
             0 => {
                 let value = dec.f64()?;
                 if !(0.0..=1.0).contains(&value) {
-                    return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                        "activity factor {value} outside [0, 1]"
-                    )));
+                    return Err(Malformed(format!("activity factor {value} outside [0, 1]")));
                 }
-                Ok(CoreState::Active {
+                CoreState::Active {
                     activity: Activity(value),
-                })
+                }
             }
-            1 => Ok(CoreState::IdleC1e),
-            2 => Ok(CoreState::IdleC6),
-            3 => Ok(CoreState::IdleNop),
-            tag => Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "unknown core-state tag {tag}"
-            ))),
-        }
+            1 => CoreState::IdleC1e,
+            2 => CoreState::IdleC6,
+            3 => CoreState::IdleNop,
+            tag => return Err(Malformed(format!("unknown core-state tag {tag}"))),
+        };
+        Ok(())
     }
 }
 

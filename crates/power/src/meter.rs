@@ -28,31 +28,12 @@ pub struct EnergyMeter {
     elapsed: SimDuration,
 }
 
+dimetrodon_ckpt::state! { EnergyMeter { persisted: joules, elapsed; derived: ; } }
+
 impl EnergyMeter {
     /// Creates a zeroed meter.
     pub fn new() -> Self {
         EnergyMeter::default()
-    }
-
-    /// Serializes the meter (joules as IEEE-754 bits, elapsed as
-    /// nanoseconds) for a durable checkpoint.
-    pub fn encode_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.f64(self.joules);
-        enc.u64(self.elapsed.as_nanos());
-    }
-
-    /// Rebuilds a meter from [`encode_state`](Self::encode_state) bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short payload.
-    pub fn decode_state(
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        Ok(EnergyMeter {
-            joules: dec.f64()?,
-            elapsed: SimDuration::from_nanos(dec.u64()?),
-        })
     }
 
     /// Adds `watts` held for `dt` to the total.

@@ -70,6 +70,21 @@ impl fmt::Display for PState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PStateId(pub usize);
 
+/// Checkpointed as its index. The owning machine checks the index against
+/// its table after loading.
+impl dimetrodon_ckpt::State for PStateId {
+    const SCHEMA: u64 = dimetrodon_ckpt::fnv1a64(b"PStateId");
+    fn save(&self, enc: &mut dimetrodon_ckpt::Enc) {
+        self.0.save(enc);
+    }
+    fn load(
+        &mut self,
+        dec: &mut dimetrodon_ckpt::Dec<'_>,
+    ) -> Result<(), dimetrodon_ckpt::CkptError> {
+        self.0.load(dec)
+    }
+}
+
 /// An ordered ladder of operating points, fastest first.
 ///
 /// # Examples

@@ -46,6 +46,6 @@ mod trace;
 pub use body::{FixedWork, Spin};
 pub use hook::{Decision, NullHook, SchedHook, SchedHookClone, ScheduleContext};
 pub use scheduler::{BsdScheduler, Scheduler, SchedulerClone, UleScheduler};
-pub use system::{SchedConfig, System, SystemSnapshot};
+pub use system::{SchedConfig, System};
 pub use thread::{Action, Burst, ThreadBody, ThreadBodyClone, ThreadId, ThreadKind, ThreadStats};
 pub use trace::{DecisionTrace, TraceEvent, TraceRecord};

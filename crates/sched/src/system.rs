@@ -163,10 +163,11 @@ struct CoreCtl {
 /// Cloning deep-copies every piece of mutable simulation state — machine,
 /// scheduler bookkeeping, threads, event calendar, recorded series — so a
 /// clone advances independently and bit-identically to the original having
-/// continued uninterrupted. (Immutable thermal topology is shared via
-/// `Arc`; hook or body state held behind `Rc` handles stays shared, see
+/// continued uninterrupted. That is how a parameter sweep forks one warm
+/// prefix N times. (Immutable thermal topology is shared via `Arc`; hook or
+/// body state held behind `Rc` handles stays shared, see
 /// [`SchedHookClone`](crate::SchedHookClone).)
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct System {
     machine: Machine,
     scheduler: Box<dyn Scheduler>,
@@ -183,55 +184,6 @@ pub struct System {
     power_meter: Option<PowerMeter>,
     trace: Option<DecisionTrace>,
     total_injected_idles: u64,
-}
-
-// Hand-written (not derived) so every field copy is an explicit line the
-// S1 snapshot-coverage lint can hold to account: a field added to the
-// struct but missing here is a deny-level finding, not a silent replay
-// divergence.
-impl Clone for System {
-    fn clone(&self) -> Self {
-        System {
-            machine: self.machine.clone(),
-            scheduler: self.scheduler.clone(),
-            hook: self.hook.clone(),
-            config: self.config,
-            threads: self.threads.clone(),
-            cores: self.cores.clone(),
-            queue: self.queue.clone(),
-            now: self.now,
-            last_advance: self.last_advance,
-            mean_temp: self.mean_temp.clone(),
-            core_temps: self.core_temps.clone(),
-            dispatch_temps: self.dispatch_temps.clone(),
-            power_meter: self.power_meter.clone(),
-            trace: self.trace.clone(),
-            total_injected_idles: self.total_injected_idles,
-        }
-    }
-}
-
-/// A forkable checkpoint of a [`System`], produced by
-/// [`System::snapshot`].
-///
-/// Holds a deep copy of the simulation's mutable state (the immutable
-/// thermal topology stays shared via `Arc`). Each [`fork`](Self::fork)
-/// yields an independent `System` that resumes from the captured instant.
-#[derive(Debug, Clone)]
-pub struct SystemSnapshot {
-    state: System,
-}
-
-impl SystemSnapshot {
-    /// A fresh, independent system resuming from the captured instant.
-    pub fn fork(&self) -> System {
-        self.state.clone()
-    }
-
-    /// Consumes the snapshot, yielding the captured system without a copy.
-    pub fn into_system(self) -> System {
-        self.state
-    }
 }
 
 impl System {
@@ -420,19 +372,6 @@ impl System {
     /// Total idle quanta injected across all threads.
     pub fn total_injected_idles(&self) -> u64 {
         self.total_injected_idles
-    }
-
-    /// Captures the whole simulation for later forking: a deep copy of all
-    /// mutable state, sharing the immutable thermal topology via `Arc`.
-    ///
-    /// Taking one snapshot and [`fork`](SystemSnapshot::fork)ing it N
-    /// times is how a parameter sweep reuses a common warmup prefix: every
-    /// fork resumes from the captured instant bit-identically to a run
-    /// that never stopped.
-    pub fn snapshot(&self) -> SystemSnapshot {
-        SystemSnapshot {
-            state: self.clone(),
-        }
     }
 
     /// Spawns a thread; it becomes runnable (or sleeps/exits) immediately

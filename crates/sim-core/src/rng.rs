@@ -7,8 +7,6 @@
 //! experiment takes an explicit seed so that results are reproducible
 //! run-to-run, and trials differ only by their seed.
 
-use dimetrodon_ckpt::{CkptError, Dec, Enc};
-
 /// The core generator: xoshiro256++, seeded via SplitMix64.
 ///
 /// This is the same algorithm (and the same `seed_from_u64` expansion)
@@ -19,6 +17,8 @@ use dimetrodon_ckpt::{CkptError, Dec, Enc};
 struct Xoshiro256PlusPlus {
     s: [u64; 4],
 }
+
+dimetrodon_ckpt::state! { Xoshiro256PlusPlus { persisted: s; derived: ; } }
 
 /// One step of the SplitMix64 sequence; returns the mixed output and
 /// advances `state`. Used for seed expansion and per-point seed derivation.
@@ -96,7 +96,9 @@ impl Xoshiro256PlusPlus {
 }
 
 /// A seeded simulation PRNG with the distributions used across the
-/// workspace.
+/// workspace. Its checkpoint state is the xoshiro words plus the
+/// Box–Muller spare, so a restored generator continues the stream
+/// bit-identically.
 ///
 /// # Examples
 ///
@@ -115,6 +117,8 @@ pub struct SimRng {
     spare_normal: Option<f64>,
 }
 
+dimetrodon_ckpt::state! { SimRng { persisted: inner, spare_normal; derived: ; } }
+
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
@@ -126,41 +130,12 @@ impl SimRng {
 
     /// Derives an independent child generator; used to give each trial,
     /// thread, or subsystem its own stream so that adding draws in one
-    /// place does not perturb another.
-    // simlint::allow(S1): fork() derives a *fresh* child stream rather
-    // than copying this one — the child's Box–Muller cache must start
-    // empty. The deep-copy path for SimRng is `#[derive(Clone)]`.
+    /// place does not perturb another. This splits the stream rather than
+    /// copying it: the child's Box–Muller cache starts empty. The copy is
+    /// `Clone`.
     pub fn fork(&mut self, salt: u64) -> SimRng {
         let seed = self.inner.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::new(seed)
-    }
-
-    /// Serializes the full generator state (xoshiro words plus the
-    /// Box–Muller spare) for a durable checkpoint; the decoded generator
-    /// continues the stream bit-identically.
-    pub fn encode_state(&self, enc: &mut Enc) {
-        for &word in &self.inner.s {
-            enc.u64(word);
-        }
-        enc.opt_f64(self.spare_normal);
-    }
-
-    /// Rebuilds a generator from [`encode_state`](Self::encode_state)
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CkptError`] when the payload is shorter than a full
-    /// state or carries a malformed option tag.
-    pub fn decode_state(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = dec.u64()?;
-        }
-        Ok(SimRng {
-            inner: Xoshiro256PlusPlus { s },
-            spare_normal: dec.opt_f64()?,
-        })
     }
 
     /// A uniform sample in `[0, 1)`.
@@ -264,17 +239,18 @@ mod tests {
     // bit-identically, spare Box-Muller cache included.
     #[test]
     fn rng_state_round_trips_bit_for_bit() {
-        use dimetrodon_ckpt::{Dec, Enc};
+        use dimetrodon_ckpt::{Dec, Enc, State};
         let mut rng = super::SimRng::new(99);
         for _ in 0..7 {
             rng.uniform();
         }
         rng.normal(0.0, 1.0); // prime the spare-normal cache
         let mut enc = Enc::new();
-        rng.encode_state(&mut enc);
+        rng.save(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        let mut restored = super::SimRng::decode_state(&mut dec).unwrap();
+        let mut restored = super::SimRng::new(0);
+        restored.load(&mut dec).unwrap();
         dec.finish().unwrap();
         for _ in 0..64 {
             assert_eq!(rng.uniform().to_bits(), restored.uniform().to_bits());

@@ -45,6 +45,21 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// Checkpointed as its nanosecond count.
+impl dimetrodon_ckpt::State for SimDuration {
+    const SCHEMA: u64 = dimetrodon_ckpt::fnv1a64(b"SimDuration");
+    fn save(&self, enc: &mut dimetrodon_ckpt::Enc) {
+        enc.u64(self.0);
+    }
+    fn load(
+        &mut self,
+        dec: &mut dimetrodon_ckpt::Dec<'_>,
+    ) -> Result<(), dimetrodon_ckpt::CkptError> {
+        self.0 = dec.u64()?;
+        Ok(())
+    }
+}
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);

@@ -6,14 +6,12 @@
 //! analysis engine over a hand-rolled Rust lexer ([`lexer`]) and item-level
 //! parser ([`parse`]): comments/strings/char literals are handled exactly,
 //! and on top of the per-line D/R/Doc rules the engine enforces item rules —
-//! snapshot coverage (`S1`), unsafe audit (`U1`/`U2`), feature consistency
-//! (`F1`), and dead-suppression detection (`A1`) — with `file:line`
-//! diagnostics, rule IDs, severity levels, and `// simlint::allow(rule-id)`
-//! suppressions.
+//! unsafe audit (`U1`/`U2`), feature consistency (`F1`), and
+//! dead-suppression detection (`A1`) — with `file:line` diagnostics, rule
+//! IDs, severity levels, and `// simlint::allow(rule-id)` suppressions.
 //!
 //! The rule set lives in [`rules::Rule`]; which rules apply to which crate —
-//! plus where `unsafe` may live and which types the snapshot-coverage
-//! contract governs — is resolved once per crate by
+//! plus where `unsafe` may live — is resolved once per crate by
 //! [`policy::policy_for_crate`]. Vendored shims (`proptest`, `criterion`)
 //! and simlint itself are exempt.
 
@@ -65,9 +63,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Total suppressions honored across all files.
     pub suppressed: usize,
-    /// The computed hash of the workspace's S1-governed snapshot field
-    /// sets, when the S2 checkpoint guard ran (`--ckpt-hash` prints it).
-    pub ckpt_fields_hash: Option<u64>,
 }
 
 impl Report {
@@ -122,8 +117,6 @@ pub fn file_exempt(crate_name: &str, rel_path: &str, rule: Rule) -> bool {
 pub struct LintOptions {
     /// The cfg view (enabled features) to analyze under.
     pub view: CfgView,
-    /// Types held to the S1 snapshot-coverage contract.
-    pub snapshot_types: Vec<String>,
     /// Whether `unsafe` is allowlisted for this file. Defaults to `true`
     /// so `U2` stays quiet unless a caller states a policy.
     pub unsafe_allowed: bool,
@@ -182,7 +175,7 @@ struct AllowSite {
     used: bool,
 }
 
-/// Everything extracted from one file; crate-level rules (`S1`, `A1`) and
+/// Everything extracted from one file; the crate-level rule `A1` and
 /// suppression resolution run over these in [`finish_files`].
 #[derive(Debug)]
 struct FileAnalysis {
@@ -346,117 +339,9 @@ fn analyze_file(
     }
 }
 
-/// The fn names that count as snapshot/fork-protocol copying surface.
-const PROTOCOL_FNS: &[&str] = &["snapshot", "fork", "restore", "clone"];
-
-/// Crate-level S1 pass over a set of analyses (struct and impls may live
-/// in different files of the same crate).
-fn snapshot_coverage(analyses: &[FileAnalysis], snapshot_types: &[&str]) -> Vec<(usize, RawFinding)> {
-    let mut out = Vec::new();
-    let fallback = analyses
-        .iter()
-        .position(|a| a.label.ends_with("lib.rs"))
-        .unwrap_or(0);
-    for &ty in snapshot_types {
-        let Some((si, sdef)) = analyses
-            .iter()
-            .enumerate()
-            .find_map(|(i, a)| a.syntax.structs.iter().find(|s| s.name == ty).map(|s| (i, s)))
-        else {
-            out.push((
-                fallback,
-                RawFinding {
-                    line: 1,
-                    rule: Rule::S1,
-                    message: format!(
-                        "snapshot-protocol type `{ty}` is named in policy but not defined in \
-                         this crate"
-                    ),
-                },
-            ));
-            continue;
-        };
-        let field_names: BTreeSet<&str> = sdef.fields.iter().map(|f| f.name.as_str()).collect();
-        // Protocol methods: snapshot/fork/restore/clone in `impl Ty` or
-        // `impl Clone for Ty`. A method *copies* iff its body mentions at
-        // least one field of Ty; delegating bodies (`self.clone()`) are
-        // exempt — the copy they delegate to is checked instead.
-        let mut copying: Vec<(usize, &parse::FnDef)> = Vec::new();
-        let mut protocol_seen = false;
-        for (i, a) in analyses.iter().enumerate() {
-            for imp in &a.syntax.impls {
-                if imp.is_trait_def || imp.type_name != ty {
-                    continue;
-                }
-                if !matches!(imp.trait_name.as_deref(), None | Some("Clone")) {
-                    continue;
-                }
-                for f in &imp.fns {
-                    if !PROTOCOL_FNS.contains(&f.name.as_str()) {
-                        continue;
-                    }
-                    protocol_seen = true;
-                    if f.body_idents.iter().any(|id| field_names.contains(id.as_str())) {
-                        copying.push((i, f));
-                    }
-                }
-            }
-        }
-        if copying.is_empty() {
-            // Derived Clone is a complete field-wise copy by construction;
-            // anything else means the type cannot actually be snapshotted.
-            if !sdef.derives.iter().any(|d| d == "Clone") {
-                let detail = if protocol_seen {
-                    "its protocol methods only delegate and it does not #[derive(Clone)]"
-                } else {
-                    "it has neither a snapshot/fork/clone method nor #[derive(Clone)]"
-                };
-                out.push((
-                    si,
-                    RawFinding {
-                        line: sdef.line,
-                        rule: Rule::S1,
-                        message: format!("`{ty}` participates in the snapshot protocol but {detail}"),
-                    },
-                ));
-            }
-            continue;
-        }
-        for (i, f) in copying {
-            for field in &sdef.fields {
-                if field.shared || f.body_idents.contains(&field.name) {
-                    continue;
-                }
-                out.push((
-                    i,
-                    RawFinding {
-                        line: f.line,
-                        rule: Rule::S1,
-                        message: format!(
-                            "field `{}` of `{ty}` is not copied in `{}()`; copy it explicitly \
-                             or mark the field `// simlint::shared`",
-                            field.name, f.name
-                        ),
-                    },
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Applies crate-level rules and suppression to a crate's analyses.
-fn finish_files(
-    analyses: &mut [FileAnalysis],
-    crate_rules: &[Rule],
-    snapshot_types: &[&str],
-) -> (Vec<Diagnostic>, usize) {
-    if crate_rules.contains(&Rule::S1) && !snapshot_types.is_empty() {
-        for (i, finding) in snapshot_coverage(analyses, snapshot_types) {
-            analyses[i].findings.push(finding);
-        }
-    }
-
+/// Applies the crate-level rule `A1` and suppression to a crate's
+/// analyses.
+fn finish_files(analyses: &mut [FileAnalysis]) -> (Vec<Diagnostic>, usize) {
     let mut diagnostics = Vec::new();
     let mut suppressed = 0usize;
     for a in analyses.iter_mut() {
@@ -508,7 +393,7 @@ fn finish_files(
 }
 
 /// Lints one file's source text under the given rule set with default
-/// options (permissive unsafe policy, no snapshot types, no manifest).
+/// options (permissive unsafe policy, no manifest).
 ///
 /// `file` is the path recorded in diagnostics; it does not need to exist on
 /// disk, which is what lets the self-tests lint fixture strings.
@@ -532,8 +417,7 @@ pub fn lint_source_with(
         opts.unsafe_allowed,
         opts.declared_features.as_ref(),
     )];
-    let types: Vec<&str> = opts.snapshot_types.iter().map(String::as_str).collect();
-    let (mut diagnostics, suppressed) = finish_files(&mut analyses, enabled, &types);
+    let (mut diagnostics, suppressed) = finish_files(&mut analyses);
     diagnostics.sort_by_key(|d| (d.line, d.rule));
     FileLint {
         diagnostics,
@@ -596,10 +480,6 @@ fn excluded_mod_files(analyses: &[FileAnalysis]) -> (Vec<PathBuf>, Vec<PathBuf>)
 
 /// Analyzes one crate's `src/` tree: reads, parses, applies per-file and
 /// crate-level rules, and drops files gated out by the cfg view.
-///
-/// `field_sets` accumulates this crate's S1-governed snapshot field sets
-/// for the workspace-level S2 checkpoint guard.
-#[allow(clippy::too_many_arguments)]
 fn lint_crate_sources(
     root: &Path,
     src: &Path,
@@ -608,7 +488,6 @@ fn lint_crate_sources(
     declared: &BTreeSet<String>,
     view: &CfgView,
     report: &mut Report,
-    field_sets: &mut Vec<SnapshotFieldSet>,
 ) -> Result<(), String> {
     let mut files = Vec::new();
     collect_rs_files(src, &mut files)?;
@@ -643,27 +522,7 @@ fn lint_crate_sources(
         !exact.contains(&a.path) && !prefixes.iter().any(|p| a.path.starts_with(p))
     });
     report.files_scanned += analyses.len();
-    for &ty in pol.snapshot_types {
-        let Some(sdef) = analyses
-            .iter()
-            .find_map(|a| a.syntax.structs.iter().find(|s| s.name == ty))
-        else {
-            continue; // S1 reports the missing definition.
-        };
-        let mut fields: Vec<String> = sdef
-            .fields
-            .iter()
-            .filter(|f| !f.shared)
-            .map(|f| f.name.clone())
-            .collect();
-        fields.sort();
-        field_sets.push(SnapshotFieldSet {
-            crate_name: pol.name.to_string(),
-            type_name: ty.to_string(),
-            fields,
-        });
-    }
-    let (diags, suppressed) = finish_files(&mut analyses, pol.rules, pol.snapshot_types);
+    let (diags, suppressed) = finish_files(&mut analyses);
     report.suppressed += suppressed;
     report.diagnostics.extend(diags);
     Ok(())
@@ -725,177 +584,6 @@ pub fn check_feature_forwarding(
     }
 }
 
-/// One S1-governed snapshot type's copied field set, collected during the
-/// workspace scan for the S2 checkpoint version-bump guard.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SnapshotFieldSet {
-    /// Crate directory name under `crates/`.
-    pub crate_name: String,
-    /// The snapshot-protocol type the fields belong to.
-    pub type_name: String,
-    /// Its copied (non-`simlint::shared`) field names, sorted.
-    pub fields: Vec<String>,
-}
-
-/// FNV-1a 64-bit. simlint keeps its own copy so the guard stays
-/// dependency-free; the constants match the ckpt crate's checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The canonical hash of the workspace's S1-governed snapshot field sets:
-/// FNV-1a64 over sorted `crate/type.field` lines. Shared (`simlint::shared`)
-/// fields are excluded — they never reach an encoder.
-pub fn snapshot_fields_hash(sets: &[SnapshotFieldSet]) -> u64 {
-    let mut sorted: Vec<&SnapshotFieldSet> = sets.iter().collect();
-    sorted.sort();
-    let mut text = String::new();
-    for set in sorted {
-        for field in &set.fields {
-            text.push_str(&set.crate_name);
-            text.push('/');
-            text.push_str(&set.type_name);
-            text.push('.');
-            text.push_str(field);
-            text.push('\n');
-        }
-    }
-    fnv1a64(text.as_bytes())
-}
-
-/// A parsed `// simlint::ckpt_pin(version = N, fields = 0x…)` comment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CkptPin {
-    /// 1-based line the pin comment is on.
-    pub line: usize,
-    /// The `CKPT_FORMAT_VERSION` the pin was written for.
-    pub version: u64,
-    /// The snapshot-field-set hash recorded at that version.
-    pub fields: u64,
-}
-
-/// Extracts the `simlint::ckpt_pin(...)` comment from a source file.
-pub fn parse_ckpt_pin(source: &str) -> Option<CkptPin> {
-    for (idx, cl) in scan::clean_source(source).iter().enumerate() {
-        let Some(pos) = cl.comment.find("simlint::ckpt_pin(") else {
-            continue;
-        };
-        let args = &cl.comment[pos + "simlint::ckpt_pin(".len()..];
-        let Some(close) = args.find(')') else { continue };
-        let mut version = None;
-        let mut fields = None;
-        for part in args[..close].split(',') {
-            let Some((key, value)) = part.split_once('=') else {
-                continue;
-            };
-            match key.trim() {
-                "version" => version = value.trim().parse::<u64>().ok(),
-                "fields" => {
-                    fields = value
-                        .trim()
-                        .strip_prefix("0x")
-                        .and_then(|h| u64::from_str_radix(&h.replace('_', ""), 16).ok());
-                }
-                _ => {}
-            }
-        }
-        if let (Some(version), Some(fields)) = (version, fields) {
-            return Some(CkptPin {
-                line: idx + 1,
-                version,
-                fields,
-            });
-        }
-    }
-    None
-}
-
-/// Finds the `const CKPT_FORMAT_VERSION` declaration and its value,
-/// returning `(line, value)`.
-fn parse_ckpt_version(source: &str) -> Option<(usize, u64)> {
-    for (idx, cl) in scan::clean_source(source).iter().enumerate() {
-        let Some(pos) = cl.code.find("const CKPT_FORMAT_VERSION") else {
-            continue;
-        };
-        let rest = &cl.code[pos..];
-        let Some(eq) = rest.find('=') else { continue };
-        let digits: String = rest[eq + 1..]
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit() || *c == '_')
-            .collect();
-        if let Ok(value) = digits.replace('_', "").parse::<u64>() {
-            return Some((idx + 1, value));
-        }
-    }
-    None
-}
-
-/// S2: the checkpoint version-bump guard over the ckpt crate's source.
-///
-/// `computed` is [`snapshot_fields_hash`] over the live workspace. Three
-/// ways to fire: no parsable pin/version at all, a pin recording a version
-/// other than the current `CKPT_FORMAT_VERSION` (stale pin), or — the case
-/// the rule exists for — the field-set hash changing while the format
-/// version did not (someone altered replay state without bumping).
-///
-/// Public so the self-tests can exercise the guard on fixture sources.
-pub fn check_ckpt_pin(label: &str, source: &str, computed: u64) -> Vec<Diagnostic> {
-    let pin = parse_ckpt_pin(source);
-    let version = parse_ckpt_version(source);
-    let (Some(pin), Some((version_line, version))) = (pin, version) else {
-        let missing = match (pin, version) {
-            (None, None) => "neither a `simlint::ckpt_pin(...)` comment nor a `const \
-                             CKPT_FORMAT_VERSION` declaration",
-            (None, _) => "a `simlint::ckpt_pin(version = N, fields = 0x...)` comment",
-            _ => "a `const CKPT_FORMAT_VERSION` declaration",
-        };
-        return vec![Diagnostic {
-            file: label.to_string(),
-            line: 1,
-            rule: Rule::S2,
-            message: format!(
-                "checkpoint guard cannot run: this crate is missing {missing}; pin the \
-                 current snapshot field sets as `simlint::ckpt_pin(version = <N>, fields = \
-                 0x{computed:016x})`"
-            ),
-        }];
-    };
-    if pin.version != version {
-        return vec![Diagnostic {
-            file: label.to_string(),
-            line: pin.line,
-            rule: Rule::S2,
-            message: format!(
-                "stale ckpt_pin: CKPT_FORMAT_VERSION is {version} but the pin records \
-                 version {}; re-pin as `simlint::ckpt_pin(version = {version}, fields = \
-                 0x{computed:016x})`",
-                pin.version
-            ),
-        }];
-    }
-    if pin.fields != computed {
-        return vec![Diagnostic {
-            file: label.to_string(),
-            line: version_line,
-            rule: Rule::S2,
-            message: format!(
-                "snapshot field sets changed without a format-version bump: the workspace's \
-                 S1-governed fields hash to 0x{computed:016x} but the pin records \
-                 0x{:016x} at the same version {version}; bump CKPT_FORMAT_VERSION and \
-                 re-pin with the new hash",
-                pin.fields
-            ),
-        }];
-    }
-    Vec::new()
-}
-
 /// Lints every governed source file in the workspace rooted at `root`,
 /// under the default cfg view (no features enabled).
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
@@ -914,8 +602,6 @@ pub fn lint_workspace_with(root: &Path, view: &CfgView) -> Result<Report, String
     let mut report = Report::default();
     // (workspace-relative Cargo.toml label, parsed manifest, F1 enabled)
     let mut manifests: Vec<(String, manifest::Manifest, bool)> = Vec::new();
-    let mut field_sets: Vec<SnapshotFieldSet> = Vec::new();
-    let mut ckpt_lib: Option<PathBuf> = None;
 
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)
@@ -953,9 +639,6 @@ pub fn lint_workspace_with(root: &Path, view: &CfgView) -> Result<Report, String
         if !src.is_dir() {
             continue;
         }
-        if pol.rules.contains(&Rule::S2) {
-            ckpt_lib = Some(src.join("lib.rs"));
-        }
         lint_crate_sources(
             root,
             &src,
@@ -964,7 +647,6 @@ pub fn lint_workspace_with(root: &Path, view: &CfgView) -> Result<Report, String
             &declared,
             view,
             &mut report,
-            &mut field_sets,
         )?;
     }
 
@@ -995,25 +677,10 @@ pub fn lint_workspace_with(root: &Path, view: &CfgView) -> Result<Report, String
             &declared,
             view,
             &mut report,
-            &mut field_sets,
         )?;
     }
 
     check_feature_forwarding(&manifests, &mut report);
-
-    // S2: the checkpoint version-bump guard, once the whole workspace's
-    // snapshot field sets are in hand. Like feature forwarding, this is a
-    // workspace-level pass — its findings are not line-suppressible.
-    if let Some(ckpt_lib) = ckpt_lib {
-        if ckpt_lib.is_file() {
-            let label = rel_label(root, &ckpt_lib);
-            let source = fs::read_to_string(&ckpt_lib)
-                .map_err(|e| format!("simlint: cannot read {label}: {e}"))?;
-            let computed = snapshot_fields_hash(&field_sets);
-            report.diagnostics.extend(check_ckpt_pin(&label, &source, computed));
-            report.ckpt_fields_hash = Some(computed);
-        }
-    }
 
     report
         .diagnostics
@@ -1151,48 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn s1_fires_on_missing_field_copy() {
-        let src = "pub struct Net {\n\
-                       temps: Vec<f64>,\n\
-                       powers: Vec<f64>,\n\
-                   }\n\
-                   impl Net {\n\
-                       pub fn snapshot(&self) -> Snap {\n\
-                           Snap { temps: self.temps.clone() }\n\
-                       }\n\
-                   }\n";
-        let opts = LintOptions {
-            snapshot_types: vec!["Net".to_string()],
-            ..LintOptions::permissive()
-        };
-        let lint = lint_source_with("x.rs", src, &[Rule::S1], &opts);
-        assert_eq!(lint.diagnostics.len(), 1);
-        assert_eq!(lint.diagnostics[0].rule, Rule::S1);
-        assert_eq!(lint.diagnostics[0].line, 6);
-        assert!(lint.diagnostics[0].message.contains("powers"));
-    }
-
-    #[test]
-    fn s1_shared_marker_and_full_copy_are_clean() {
-        let src = "pub struct Net {\n\
-                       // simlint::shared: Arc topology\n\
-                       topo: Arc<Topology>,\n\
-                       temps: Vec<f64>,\n\
-                   }\n\
-                   impl Net {\n\
-                       pub fn snapshot(&self) -> Snap {\n\
-                           Snap { temps: self.temps.clone() }\n\
-                       }\n\
-                   }\n";
-        let opts = LintOptions {
-            snapshot_types: vec!["Net".to_string()],
-            ..LintOptions::permissive()
-        };
-        let lint = lint_source_with("x.rs", src, &[Rule::S1], &opts);
-        assert!(lint.diagnostics.is_empty(), "{:?}", lint.diagnostics);
-    }
-
-    #[test]
     fn u2_fires_when_unsafe_not_allowlisted() {
         let src = "fn f() {\n\
                        // SAFETY: fine\n\
@@ -1212,87 +837,6 @@ mod tests {
         let denied = lint_source_with("x.rs", src, &[Rule::U1, Rule::U2], &opts);
         assert_eq!(denied.diagnostics.len(), 1);
         assert_eq!(denied.diagnostics[0].rule, Rule::U2);
-    }
-
-    fn demo_sets() -> Vec<SnapshotFieldSet> {
-        vec![
-            SnapshotFieldSet {
-                crate_name: "sched".to_string(),
-                type_name: "System".to_string(),
-                fields: vec!["clock".to_string(), "queue".to_string()],
-            },
-            SnapshotFieldSet {
-                crate_name: "machine".to_string(),
-                type_name: "Machine".to_string(),
-                fields: vec!["temp".to_string()],
-            },
-        ]
-    }
-
-    #[test]
-    fn snapshot_fields_hash_is_order_independent() {
-        let forward = demo_sets();
-        let mut reversed = demo_sets();
-        reversed.reverse();
-        assert_eq!(snapshot_fields_hash(&forward), snapshot_fields_hash(&reversed));
-        let mut grown = demo_sets();
-        grown[0].fields.push("rng".to_string());
-        assert_ne!(snapshot_fields_hash(&forward), snapshot_fields_hash(&grown));
-    }
-
-    #[test]
-    fn ckpt_pin_parses_version_and_hash() {
-        let src = "pub const CKPT_FORMAT_VERSION: u32 = 3;\n\
-                   // simlint::ckpt_pin(version = 3, fields = 0x00ab_cdef_0123_4567)\n";
-        let pin = parse_ckpt_pin(src).expect("pin");
-        assert_eq!(pin, CkptPin { line: 2, version: 3, fields: 0x00ab_cdef_0123_4567 });
-        assert_eq!(parse_ckpt_version(src), Some((1, 3)));
-        assert!(parse_ckpt_pin("// simlint::ckpt_pin(version = x)\n").is_none());
-    }
-
-    #[test]
-    fn s2_clean_when_pin_matches() {
-        let computed = snapshot_fields_hash(&demo_sets());
-        let src = format!(
-            "pub const CKPT_FORMAT_VERSION: u32 = 1;\n\
-             // simlint::ckpt_pin(version = 1, fields = 0x{computed:016x})\n"
-        );
-        assert!(check_ckpt_pin("ckpt.rs", &src, computed).is_empty());
-    }
-
-    #[test]
-    fn s2_fires_on_field_change_without_version_bump() {
-        let computed = snapshot_fields_hash(&demo_sets());
-        let src = "pub const CKPT_FORMAT_VERSION: u32 = 1;\n\
-                   // simlint::ckpt_pin(version = 1, fields = 0xdeadbeefdeadbeef)\n";
-        let diags = check_ckpt_pin("ckpt.rs", src, computed);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, Rule::S2);
-        assert_eq!(diags[0].line, 1);
-        assert!(diags[0].message.contains("bump CKPT_FORMAT_VERSION"));
-    }
-
-    #[test]
-    fn s2_fires_on_stale_pin_after_version_bump() {
-        let computed = snapshot_fields_hash(&demo_sets());
-        let src = format!(
-            "pub const CKPT_FORMAT_VERSION: u32 = 2;\n\
-             // simlint::ckpt_pin(version = 1, fields = 0x{computed:016x})\n"
-        );
-        let diags = check_ckpt_pin("ckpt.rs", &src, computed);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, Rule::S2);
-        assert_eq!(diags[0].line, 2);
-        assert!(diags[0].message.contains("stale ckpt_pin"));
-        assert!(diags[0].message.contains("version = 2"));
-    }
-
-    #[test]
-    fn s2_fires_on_missing_pin() {
-        let diags = check_ckpt_pin("ckpt.rs", "pub fn noop() {}\n", 7);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, Rule::S2);
-        assert!(diags[0].message.contains("missing"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use simlint::{effective_severity, lint_workspace_with, CfgView, Severity};
 
 fn usage() -> &'static str {
-    "usage: simlint [--deny-warnings] [--root <dir>] [--features <a,b,...>] [--ckpt-hash]\n\
+    "usage: simlint [--deny-warnings] [--root <dir>] [--features <a,b,...>]\n\
      \n\
      Lints the workspace for determinism and robustness hazards.\n\
      \n\
@@ -26,22 +26,17 @@ fn usage() -> &'static str {
        --features <list>   comma-separated Cargo features for the cfg view\n\
                            (files and items gated on other features are\n\
                            excluded, mirroring what the compiler would see)\n\
-       --ckpt-hash         print the snapshot field-set hash the S2 guard\n\
-                           computed (the value to record in the ckpt_pin\n\
-                           comment after a format-version bump) and exit\n\
        -h, --help          show this help"
 }
 
 fn main() -> ExitCode {
     let mut deny_warnings = false;
-    let mut ckpt_hash = false;
     let mut root: Option<PathBuf> = None;
     let mut features: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny-warnings" => deny_warnings = true,
-            "--ckpt-hash" => ckpt_hash = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -90,19 +85,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if ckpt_hash {
-        match report.ckpt_fields_hash {
-            Some(hash) => {
-                println!("0x{hash:016x}");
-                return ExitCode::SUCCESS;
-            }
-            None => {
-                eprintln!("simlint: no S2-governed checkpoint crate under this root");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     for d in &report.diagnostics {
         let severity = effective_severity(d.rule, deny_warnings);

@@ -1,10 +1,9 @@
 //! Item-level parser over the [`crate::lexer`] token stream.
 //!
-//! simlint's item rules need real structure, not line patterns: which
-//! fields a struct declares, which methods an `impl` block defines and
-//! which identifiers their bodies mention, where `unsafe` appears and
-//! whether a `// SAFETY:` comment sits next to it, and which
-//! `cfg(feature = "...")` gates exist. This module extracts exactly that —
+//! simlint's item rules need real structure, not line patterns: where
+//! `unsafe` appears and whether a `// SAFETY:` comment sits next to it,
+//! which `cfg(feature = "...")` gates exist, and which items a cfg view
+//! masks out. This module extracts exactly that —
 //! a deliberately shallow grammar (brace-tracked item nesting, no
 //! expression parsing) that is robust to everything the workspace writes.
 //!
@@ -33,62 +32,6 @@ impl CfgView {
             features: features.into_iter().map(Into::into).collect(),
         }
     }
-}
-
-/// One named field of a struct.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: usize,
-    /// Whether a `simlint::shared` marker comment covers the field.
-    pub shared: bool,
-}
-
-/// A struct item with named fields (unit/tuple structs have none).
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Type name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
-    /// Traits named in `#[derive(...)]` attributes on the struct.
-    pub derives: Vec<String>,
-    /// Named fields in declaration order.
-    pub fields: Vec<FieldDef>,
-}
-
-/// One function inside an `impl` (or trait) body.
-#[derive(Debug, Clone)]
-pub struct FnDef {
-    /// Function name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Whether the function is declared `unsafe`.
-    pub is_unsafe: bool,
-    /// 1-based line of the last token of the item (the closing brace of
-    /// the body, or the `;` of a bodyless signature).
-    pub end_line: usize,
-    /// Every identifier mentioned in the body (fields, locals, calls).
-    pub body_idents: BTreeSet<String>,
-}
-
-/// An `impl` block (or trait definition body, flagged by `is_trait_def`).
-#[derive(Debug, Clone)]
-pub struct ImplDef {
-    /// The implemented type's name (last path segment before generics),
-    /// or the trait's own name for a trait definition.
-    pub type_name: String,
-    /// For `impl Trait for Type`, the trait's name.
-    pub trait_name: Option<String>,
-    /// 1-based line of the `impl`/`trait` keyword.
-    pub line: usize,
-    /// True when this is a `trait` definition body, not an `impl`.
-    pub is_trait_def: bool,
-    /// Functions defined in the body.
-    pub fns: Vec<FnDef>,
 }
 
 /// What kind of construct an `unsafe` keyword introduces.
@@ -140,10 +83,6 @@ pub struct ModDecl {
 /// Everything the parser extracts from one file under one cfg view.
 #[derive(Debug, Default)]
 pub struct FileSyntax {
-    /// Structs with named fields.
-    pub structs: Vec<StructDef>,
-    /// Impl blocks and trait-definition bodies.
-    pub impls: Vec<ImplDef>,
     /// Every `unsafe` occurrence outside masked regions.
     pub unsafe_sites: Vec<UnsafeSite>,
     /// Every `feature = "..."` reference (masked regions included — the
@@ -238,8 +177,6 @@ struct Parser<'a> {
 struct AttrInfo {
     /// Conjunction of every `#[cfg(...)]` seen, under the view.
     enabled: bool,
-    /// Traits collected from `#[derive(...)]`.
-    derives: Vec<String>,
     /// Line of the first attribute, if any.
     first_line: Option<usize>,
 }
@@ -365,13 +302,6 @@ impl<'a> Parser<'a> {
                 "cfg_attr" => {
                     // Collect refs from the condition; never evaluate.
                     self.collect_cfg_refs(start + 1, end);
-                }
-                "derive" => {
-                    for k in start + 1..end {
-                        if self.t[k].kind == TokenKind::Ident {
-                            info.derives.push(self.t[k].text.to_string());
-                        }
-                    }
                 }
                 _ => {}
             }
@@ -524,21 +454,21 @@ impl<'a> Parser<'a> {
         // An `unsafe` prefix is recorded per item kind below via
         // `note_unsafe_prefix` while the modifier scan walks forward.
         match kw.as_str() {
-            "struct" | "union" => self.parse_struct(&attrs),
+            "struct" | "union" => self.parse_struct(),
             "impl" => {
                 self.note_unsafe_prefix(attrs.first_line, UnsafeKind::Impl);
                 self.advance_to_kw("impl");
-                self.parse_impl(false);
+                self.parse_impl();
             }
             "trait" => {
                 self.note_unsafe_prefix(attrs.first_line, UnsafeKind::Trait);
                 self.advance_to_kw("trait");
-                self.parse_trait();
+                self.parse_impl();
             }
             "fn" => {
                 self.note_unsafe_prefix(attrs.first_line, UnsafeKind::Fn);
                 self.advance_to_kw("fn");
-                let _ = self.parse_fn_after_kw(attrs.first_line);
+                self.parse_fn_after_kw();
             }
             "mod" => {
                 self.advance_to_kw("mod");
@@ -653,28 +583,20 @@ impl<'a> Parser<'a> {
     // ------------------------------------------------------------------
     // Structs
 
-    fn parse_struct(&mut self, attrs: &AttrInfo) {
+    fn parse_struct(&mut self) {
         self.advance_to_kw("struct");
         if self.peek_text(0) != "struct" {
             // `union` shares field syntax.
             self.advance_to_kw("union");
         }
-        let line = self.cur_line();
         self.bump(); // struct/union
-        let name = self.peek_text(0).to_string();
-        self.bump();
+        self.bump(); // name
         self.skip_generics();
         if self.peek_text(0) == "where" {
             while !self.at_end() && !matches!(self.peek_text(0), "{" | ";") {
                 self.bump();
             }
         }
-        let mut def = StructDef {
-            name,
-            line,
-            derives: attrs.derives.clone(),
-            fields: Vec::new(),
-        };
         match self.peek_text(0) {
             ";" => {
                 self.bump();
@@ -686,177 +608,42 @@ impl<'a> Parser<'a> {
                 }
             }
             "{" => {
-                self.bump();
-                self.parse_fields(&mut def);
+                // Field attributes may name features.
+                let start = self.i;
+                self.skip_balanced();
+                self.collect_cfg_refs(start, self.i);
             }
             _ => {}
         }
-        self.out.structs.push(def);
-    }
-
-    /// Parses named fields until the struct's closing brace (consumed).
-    fn parse_fields(&mut self, def: &mut StructDef) {
-        let mut prev_field_line = def.line;
-        while !self.at_end() {
-            if self.peek_text(0) == "}" {
-                self.bump();
-                return;
-            }
-            let attrs = self.parse_attrs();
-            if self.peek_text(0) == "pub" {
-                self.bump();
-                if self.peek_text(0) == "(" {
-                    self.skip_balanced();
-                }
-            }
-            let Some(name_tok) = self.peek(0).copied() else {
-                return;
-            };
-            if name_tok.kind != TokenKind::Ident || self.peek_text(1) != ":" {
-                self.bump();
-                continue;
-            }
-            self.bump(); // name
-            self.bump(); // ':'
-            // Consume the type up to the separating comma (depth-aware).
-            let mut depth = 0i64;
-            let mut angle = 0i64;
-            while let Some(t) = self.peek(0) {
-                match t.text {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "}" if depth == 0 => break,
-                    "}" => depth -= 1,
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "," if depth == 0 && angle <= 0 => {
-                        self.bump();
-                        break;
-                    }
-                    _ => {}
-                }
-                self.bump();
-            }
-            let shared = attrs.enabled
-                && self.marker_covers(prev_field_line, name_tok.line);
-            if attrs.enabled {
-                def.fields.push(FieldDef {
-                    name: name_tok.text.to_string(),
-                    line: name_tok.line,
-                    shared,
-                });
-            }
-            prev_field_line = name_tok.line;
-        }
-    }
-
-    /// True if a `simlint::shared` marker comment sits on a line in
-    /// `(after, upto]` — i.e. between the previous field and this one,
-    /// inclusive of the field's own line.
-    fn marker_covers(&self, after: usize, upto: usize) -> bool {
-        self.comments.iter().any(|&(line, text)| {
-            line > after && line <= upto && text.contains("simlint::shared")
-        })
     }
 
     // ------------------------------------------------------------------
     // Impls, traits, fns
 
-    /// Cursor on `impl`.
-    fn parse_impl(&mut self, _unsafe_impl: bool) {
-        let line = self.cur_line();
-        self.bump(); // impl
-        self.skip_generics();
-        // First path (trait or self type).
-        let first = self.parse_type_path();
-        let (trait_name, type_name) = if self.peek_text(0) == "for" {
-            self.bump();
-            let ty = self.parse_type_path();
-            (Some(first), ty)
-        } else {
-            (None, first)
-        };
-        if self.peek_text(0) == "where" {
-            while !self.at_end() && self.peek_text(0) != "{" {
-                self.bump();
-            }
-        }
-        let mut def = ImplDef {
-            type_name,
-            trait_name,
-            line,
-            is_trait_def: false,
-            fns: Vec::new(),
-        };
-        if self.peek_text(0) == "{" {
-            self.bump();
-            self.parse_member_body(&mut def);
-        } else if self.peek_text(0) == ";" {
-            self.bump();
-        }
-        self.out.impls.push(def);
-    }
-
-    /// Cursor on `trait`.
-    fn parse_trait(&mut self) {
-        let line = self.cur_line();
-        self.bump(); // trait
-        let name = self.peek_text(0).to_string();
-        self.bump();
-        while !self.at_end() && !matches!(self.peek_text(0), "{" | ";") {
-            self.bump();
-        }
-        let mut def = ImplDef {
-            type_name: name,
-            trait_name: None,
-            line,
-            is_trait_def: true,
-            fns: Vec::new(),
-        };
-        if self.peek_text(0) == "{" {
-            self.bump();
-            self.parse_member_body(&mut def);
-        } else {
-            self.bump();
-        }
-        self.out.impls.push(def);
-    }
-
-    /// The last plain identifier of a type path, skipping generic
-    /// arguments: `crate::queue::EventQueue<E>` → `EventQueue`,
-    /// `Box<dyn SchedHook>` → `Box`, `&mut [f64]` → `f64`.
-    fn parse_type_path(&mut self) -> String {
-        let mut name = String::new();
+    /// Cursor on `impl` or `trait`: skips the header (generics, trait and
+    /// self type, where clause) and walks the member body.
+    fn parse_impl(&mut self) {
+        self.bump(); // impl/trait
         let mut angle = 0i64;
         while let Some(t) = self.peek(0) {
             match t.text {
-                "<" => {
-                    angle += 1;
-                    self.bump();
-                }
-                ">" => {
-                    angle -= 1;
-                    self.bump();
-                    if angle <= 0 && !matches!(self.peek_text(0), "::" | ":") {
-                        // `>` may end the path's own generics.
-                    }
-                }
-                "for" | "where" | "{" | ";" if angle <= 0 => break,
-                _ => {
-                    if angle <= 0 && t.kind == TokenKind::Ident
-                        && !matches!(t.text, "dyn" | "impl" | "mut" | "const")
-                    {
-                        name = t.text.to_string();
-                    }
-                    self.bump();
-                }
+                "<" => angle += 1,
+                ">" => angle -= 1,
+                "{" | ";" if angle <= 0 => break,
+                _ => {}
             }
+            self.bump();
         }
-        name
+        if self.peek_text(0) == "{" {
+            self.bump();
+            self.parse_member_body();
+        } else {
+            self.bump();
+        }
     }
 
     /// Parses impl/trait members until the closing brace (consumed).
-    fn parse_member_body(&mut self, def: &mut ImplDef) {
+    fn parse_member_body(&mut self) {
         while !self.at_end() {
             if self.peek_text(0) == "}" {
                 self.bump();
@@ -876,11 +663,9 @@ impl<'a> Parser<'a> {
                 }
             }
             // Modifiers: default/const/async/unsafe/extern "C".
-            let mut is_unsafe = false;
             loop {
                 match self.peek_text(0) {
                     "unsafe" => {
-                        is_unsafe = true;
                         let line = self.cur_line();
                         let site = self.make_unsafe_site(line, attrs.first_line, UnsafeKind::Fn);
                         self.out.unsafe_sites.push(site);
@@ -902,12 +687,7 @@ impl<'a> Parser<'a> {
                 }
             }
             match self.peek_text(0) {
-                "fn" => {
-                    if let Some(mut f) = self.parse_fn_after_kw(attrs.first_line) {
-                        f.is_unsafe = is_unsafe;
-                        def.fns.push(f);
-                    }
-                }
+                "fn" => self.parse_fn_after_kw(),
                 "type" | "const" | "static" | "use" | "macro_rules" => {
                     self.skip_member();
                 }
@@ -948,25 +728,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Cursor on `fn`. Parses the signature and scans the body.
-    fn parse_fn_after_kw(&mut self, attr_line: Option<usize>) -> Option<FnDef> {
-        let line = self.cur_line();
+    /// Cursor on `fn`. Skips the signature and scans the body.
+    fn parse_fn_after_kw(&mut self) {
         self.bump(); // fn
-        let name = self.peek_text(0).to_string();
-        self.bump();
+        self.bump(); // name
         // Signature up to the body brace or a trailing `;`.
         let mut depth = 0i64;
         while let Some(t) = self.peek(0) {
             match t.text {
                 ";" if depth == 0 => {
                     self.bump();
-                    return Some(FnDef {
-                        name,
-                        line,
-                        is_unsafe: false,
-                        end_line: self.last_line(),
-                        body_idents: BTreeSet::new(),
-                    });
+                    return;
                 }
                 "{" if depth == 0 => break,
                 "(" | "[" | "{" => depth += 1,
@@ -975,31 +747,16 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
-        if self.peek_text(0) != "{" {
-            return Some(FnDef {
-                name,
-                line,
-                is_unsafe: false,
-                end_line: self.last_line(),
-                body_idents: BTreeSet::new(),
-            });
+        if self.peek_text(0) == "{" {
+            self.bump(); // body '{'
+            self.scan_body();
         }
-        self.bump(); // body '{'
-        let body_idents = self.scan_body(attr_line);
-        Some(FnDef {
-            name,
-            line,
-            is_unsafe: false,
-            end_line: self.last_line(),
-            body_idents,
-        })
     }
 
     /// Scans a `{}`-delimited body (opening brace already consumed):
-    /// collects identifiers, records `unsafe {` sites, collects
-    /// `cfg!(...)` refs, and masks statements gated by false cfg attrs.
-    fn scan_body(&mut self, _attr_line: Option<usize>) -> BTreeSet<String> {
-        let mut idents = BTreeSet::new();
+    /// records `unsafe {` sites, collects `cfg!(...)` refs, and masks
+    /// statements gated by false cfg attrs.
+    fn scan_body(&mut self) {
         let mut depth = 1i64;
         while let Some(t) = self.peek(0).copied() {
             match t.text {
@@ -1011,7 +768,7 @@ impl<'a> Parser<'a> {
                     depth -= 1;
                     self.bump();
                     if depth == 0 {
-                        return idents;
+                        return;
                     }
                 }
                 "unsafe" if self.peek_text(1) == "{" => {
@@ -1036,14 +793,10 @@ impl<'a> Parser<'a> {
                     self.collect_cfg_refs(start, end);
                 }
                 _ => {
-                    if t.kind == TokenKind::Ident {
-                        idents.insert(t.text.to_string());
-                    }
                     self.bump();
                 }
             }
         }
-        idents
     }
 
     /// Consumes one statement: up to `;` at relative depth 0, or through
@@ -1162,66 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_derives() {
-        let src = "#[derive(Debug, Clone)]\n\
-                   pub struct Machine {\n\
-                       config: MachineConfig,\n\
-                       // simlint::shared: immutable topology\n\
-                       nodes: Vec<NodeId>,\n\
-                       temps: Vec<f64>,\n\
-                   }\n";
-        let s = parse_default(src);
-        assert_eq!(s.structs.len(), 1);
-        let m = &s.structs[0];
-        assert_eq!(m.name, "Machine");
-        assert_eq!(m.derives, vec!["Debug", "Clone"]);
-        let names: Vec<&str> = m.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["config", "nodes", "temps"]);
-        assert!(!m.fields[0].shared);
-        assert!(m.fields[1].shared);
-        assert!(!m.fields[2].shared);
-    }
-
-    #[test]
-    fn impl_methods_and_body_idents() {
-        let src = "impl Machine {\n\
-                       pub fn snapshot(&self) -> Snap {\n\
-                           Snap { a: self.alpha.clone(), b: self.beta }\n\
-                       }\n\
-                       fn other(&self) {}\n\
-                   }\n\
-                   impl Clone for Machine {\n\
-                       fn clone(&self) -> Self { self.helper() }\n\
-                   }\n";
-        let s = parse_default(src);
-        assert_eq!(s.impls.len(), 2);
-        assert_eq!(s.impls[0].type_name, "Machine");
-        assert_eq!(s.impls[0].trait_name, None);
-        let snap = &s.impls[0].fns[0];
-        assert_eq!(snap.name, "snapshot");
-        assert!(snap.body_idents.contains("alpha"));
-        assert!(snap.body_idents.contains("beta"));
-        assert_eq!(s.impls[1].trait_name.as_deref(), Some("Clone"));
-        assert_eq!(s.impls[1].fns[0].name, "clone");
-        assert!(s.impls[1].fns[0].body_idents.contains("helper"));
-    }
-
-    #[test]
-    fn impl_for_box_reports_box() {
-        let src = "impl Clone for Box<dyn SchedHook> { fn clone(&self) -> Self { self.clone_box() } }";
-        let s = parse_default(src);
-        assert_eq!(s.impls[0].type_name, "Box");
-    }
-
-    #[test]
-    fn generic_impl_type_name() {
-        let src = "impl<E: Clone> EventQueue<E> { fn push(&mut self, e: E) { self.heap.push(e); } }";
-        let s = parse_default(src);
-        assert_eq!(s.impls[0].type_name, "EventQueue");
-        assert_eq!(s.impls[0].fns[0].name, "push");
-    }
-
-    #[test]
     fn unsafe_sites_and_safety_comments() {
         let src = "fn f() {\n\
                        // SAFETY: checked above\n\
@@ -1316,15 +1009,21 @@ mod tests {
     }
 
     #[test]
-    fn trait_definition_bodies_flagged() {
-        let src = "pub trait Scheduler {\n\
-                       fn clone_box(&self) -> Box<dyn Scheduler>;\n\
-                       fn tick(&mut self) { self.count += 1; }\n\
+    fn trait_and_impl_bodies_are_walked() {
+        let src = "pub trait Kernel {\n\
+                       unsafe fn raw(&self);\n\
+                       #[cfg(test)]\n\
+                       fn probe(&self) {}\n\
+                   }\n\
+                   impl<E: Clone> Queue<E> where E: Copy {\n\
+                       fn push(&mut self) { unsafe { g() } }\n\
                    }\n";
         let s = parse_default(src);
-        assert_eq!(s.impls.len(), 1);
-        assert!(s.impls[0].is_trait_def);
-        assert_eq!(s.impls[0].fns.len(), 2);
+        let sites: Vec<(usize, UnsafeKind)> =
+            s.unsafe_sites.iter().map(|u| (u.line, u.kind)).collect();
+        assert_eq!(sites, vec![(2, UnsafeKind::Fn), (7, UnsafeKind::Block)]);
+        let mask = s.masked_lines(8);
+        assert!(mask[2] && mask[3] && !mask[6]);
     }
 
     #[test]

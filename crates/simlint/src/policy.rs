@@ -1,5 +1,4 @@
-//! Per-crate lint policy: which rules apply, where `unsafe` may live, and
-//! which types participate in the snapshot/fork protocol.
+//! Per-crate lint policy: which rules apply and where `unsafe` may live.
 //!
 //! Policy is resolved once per crate directory (not per file) by
 //! [`policy_for_crate`]; `lib.rs` threads the resulting [`CratePolicy`]
@@ -21,8 +20,6 @@ pub struct CratePolicy {
     /// Crate-relative paths (always `/`-separated) of the only files
     /// allowed to contain `unsafe` (U2). Empty = no unsafe anywhere.
     pub unsafe_files: &'static [&'static str],
-    /// Types whose fields S1 holds to the snapshot-coverage contract.
-    pub snapshot_types: &'static [&'static str],
 }
 
 const FULL: &[Rule] = &[
@@ -31,7 +28,6 @@ const FULL: &[Rule] = &[
     Rule::D3,
     Rule::D4,
     Rule::R1,
-    Rule::S1,
     Rule::U1,
     Rule::U2,
     Rule::F1,
@@ -44,20 +40,6 @@ const LIB: &[Rule] = &[
     Rule::D3,
     Rule::D4,
     Rule::R1,
-    Rule::S1,
-    Rule::U1,
-    Rule::U2,
-    Rule::F1,
-    Rule::A1,
-];
-const CKPT: &[Rule] = &[
-    Rule::D1,
-    Rule::D2,
-    Rule::D3,
-    Rule::D4,
-    Rule::R1,
-    Rule::S1,
-    Rule::S2,
     Rule::U1,
     Rule::U2,
     Rule::F1,
@@ -70,7 +52,6 @@ const HARNESS: &[Rule] = &[
     Rule::D4,
     Rule::R1,
     Rule::R2,
-    Rule::S1,
     Rule::U1,
     Rule::U2,
     Rule::F1,
@@ -98,9 +79,8 @@ const BENCH: &[Rule] = &[
 ///
 /// Rule-set policy (unchanged from v1, plus the item rules everywhere):
 /// - `sim-core`, `dimetrodon`: the full set including `Doc1`.
-/// - other result-path library crates: everything but `Doc1`.
-/// - `ckpt`: library set plus `S2` (the checkpoint version-bump guard —
-///   the pin it checks lives in this crate next to `CKPT_FORMAT_VERSION`).
+/// - other result-path library crates (`ckpt` included): everything but
+///   `Doc1`.
 /// - `harness`: library set plus `R2` (supervision must not swallow
 ///   failures).
 /// - `cli`: determinism + `R2` + the item rules.
@@ -109,10 +89,6 @@ const BENCH: &[Rule] = &[
 ///
 /// Unsafe policy: `thermal` may keep `unsafe` in `src/simd.rs` only (the
 /// AVX2 kernel); every other governed crate gets an empty allowlist.
-///
-/// Snapshot policy: the types whose hand-maintained deep copies carry
-/// replay state. Fields may opt out with a `// simlint::shared` marker
-/// (Arc-shared immutable topology, scratch buffers rebuilt on use).
 pub fn policy_for_crate(dir_name: &str) -> CratePolicy {
     let (name, rules): (&'static str, &'static [Rule]) = match dir_name {
         "sim-core" => ("sim-core", FULL),
@@ -125,10 +101,7 @@ pub fn policy_for_crate(dir_name: &str) -> CratePolicy {
         "analysis" => ("analysis", LIB),
         "faults" => ("faults", LIB),
         "fleet" => ("fleet", LIB),
-        // The checkpoint-format crate additionally carries S2: the
-        // version-bump guard that pins the workspace's S1-governed
-        // snapshot field sets against CKPT_FORMAT_VERSION.
-        "ckpt" => ("ckpt", CKPT),
+        "ckpt" => ("ckpt", LIB),
         "harness" => ("harness", HARNESS),
         "cli" => ("cli", APP),
         "bench" => ("bench", BENCH),
@@ -138,33 +111,20 @@ pub fn policy_for_crate(dir_name: &str) -> CratePolicy {
         "thermal" => &["src/simd.rs"],
         _ => &[],
     };
-    let snapshot_types: &'static [&'static str] = match dir_name {
-        "sim-core" => &["EventQueue", "SimRng", "TimeSeries"],
-        "thermal" => &["ThermalNetwork", "ThermalSnapshot"],
-        "power" => &["EnergyMeter", "PowerMeter"],
-        "machine" => &["Machine", "MachineSnapshot"],
-        "sched" => &["System", "SystemSnapshot"],
-        // The fleet's fork is its `Clone`: every mutable field must be
-        // deep-copied (or derive-covered) for a forked fleet to replay.
-        "fleet" => &["Fleet", "HealthModel", "ChaosStats"],
-        _ => &[],
-    };
     CratePolicy {
         name,
         rules,
         unsafe_files,
-        snapshot_types,
     }
 }
 
 /// Policy for the facade package's own `src/` at the workspace root: the
-/// library rule set, no unsafe, no snapshot types of its own.
+/// library rule set, no unsafe.
 pub fn facade_policy() -> CratePolicy {
     CratePolicy {
         name: "facade",
         rules: LIB,
         unsafe_files: &[],
-        snapshot_types: &[],
     }
 }
 
@@ -184,37 +144,6 @@ mod tests {
         assert_eq!(policy_for_crate("thermal").unsafe_files, ["src/simd.rs"]);
         for name in ["sim-core", "machine", "sched", "harness", "cli"] {
             assert!(policy_for_crate(name).unsafe_files.is_empty(), "{name}");
-        }
-    }
-
-    #[test]
-    fn snapshot_types_cover_the_fork_protocol() {
-        assert!(policy_for_crate("sched").snapshot_types.contains(&"System"));
-        assert!(policy_for_crate("machine")
-            .snapshot_types
-            .contains(&"Machine"));
-        assert!(policy_for_crate("thermal")
-            .snapshot_types
-            .contains(&"ThermalNetwork"));
-        assert!(policy_for_crate("sim-core")
-            .snapshot_types
-            .contains(&"EventQueue"));
-        assert!(policy_for_crate("fleet").snapshot_types.contains(&"Fleet"));
-        assert!(policy_for_crate("fleet")
-            .snapshot_types
-            .contains(&"HealthModel"));
-        assert!(policy_for_crate("fleet")
-            .snapshot_types
-            .contains(&"ChaosStats"));
-        assert!(policy_for_crate("analysis").snapshot_types.is_empty());
-    }
-
-    #[test]
-    fn s2_governs_the_ckpt_crate_only() {
-        assert!(policy_for_crate("ckpt").rules.contains(&Rule::S2));
-        assert!(policy_for_crate("ckpt").snapshot_types.is_empty());
-        for name in ["sim-core", "machine", "sched", "fleet", "harness"] {
-            assert!(!policy_for_crate(name).rules.contains(&Rule::S2), "{name}");
         }
     }
 

@@ -28,18 +28,6 @@ pub enum Rule {
     /// `Result`/`PointOutcome`; bind and handle it or justify with a
     /// suppression.
     R2,
-    /// Snapshot coverage: every named field of a type in the crate's
-    /// snapshot/fork protocol must be explicitly copied in each copying
-    /// method (`snapshot`/`fork`/`restore`/`clone`) or carry a
-    /// `simlint::shared` marker for Arc-shared immutable state.
-    S1,
-    /// Checkpoint version-bump guard: the hash of every S1-governed
-    /// snapshot field set across the workspace must match the
-    /// `// simlint::ckpt_pin(version = N, fields = 0x…)` pin in the ckpt
-    /// crate. A changed field set at an unchanged `CKPT_FORMAT_VERSION`
-    /// means old checkpoint files would decode into differently-shaped
-    /// state — bump the version and re-pin.
-    S2,
     /// Every `unsafe` block/fn/impl needs an adjacent `// SAFETY:` comment
     /// (or a `# Safety` doc section on the item).
     U1,
@@ -68,15 +56,13 @@ pub enum Severity {
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 11] = [
         Rule::D1,
         Rule::D2,
         Rule::D3,
         Rule::D4,
         Rule::R1,
         Rule::R2,
-        Rule::S1,
-        Rule::S2,
         Rule::U1,
         Rule::U2,
         Rule::F1,
@@ -93,8 +79,6 @@ impl Rule {
             Rule::D4 => "D4",
             Rule::R1 => "R1",
             Rule::R2 => "R2",
-            Rule::S1 => "S1",
-            Rule::S2 => "S2",
             Rule::U1 => "U1",
             Rule::U2 => "U2",
             Rule::F1 => "F1",
@@ -112,8 +96,6 @@ impl Rule {
             "D4" => Some(Rule::D4),
             "R1" => Some(Rule::R1),
             "R2" => Some(Rule::R2),
-            "S1" => Some(Rule::S1),
-            "S2" => Some(Rule::S2),
             "U1" => Some(Rule::U1),
             "U2" => Some(Rule::U2),
             "F1" => Some(Rule::F1),
@@ -126,15 +108,11 @@ impl Rule {
     /// Default severity before any `--deny-warnings` promotion.
     ///
     /// The deny tier holds the rules whose violation can silently corrupt
-    /// replay identity (`D1`–`D3`), break it outright (`S1` — a field
-    /// missing from a snapshot copy resumes with stale state), let a stale
-    /// checkpoint format restore wrong state (`S2`), widen the unsafe
-    /// surface (`U2`), or let a feature chain go stale (`F1`).
+    /// replay identity (`D1`–`D3`), widen the unsafe surface (`U2`), or
+    /// let a feature chain go stale (`F1`).
     pub fn default_severity(self) -> Severity {
         match self {
-            Rule::D1 | Rule::D2 | Rule::D3 | Rule::S1 | Rule::S2 | Rule::U2 | Rule::F1 => {
-                Severity::Deny
-            }
+            Rule::D1 | Rule::D2 | Rule::D3 | Rule::U2 | Rule::F1 => Severity::Deny,
             Rule::D4 | Rule::R1 | Rule::R2 | Rule::U1 | Rule::A1 | Rule::Doc1 => Severity::Warn,
         }
     }
@@ -427,7 +405,7 @@ pub fn check_line(code: &str, enabled: &[Rule], has_doc: bool) -> Vec<(Rule, Str
             }
             // Item-level rules: evaluated over the parsed syntax of a whole
             // file (or crate/workspace) in `lib.rs`, not per line.
-            Rule::S1 | Rule::S2 | Rule::U1 | Rule::U2 | Rule::F1 | Rule::A1 => {}
+            Rule::U1 | Rule::U2 | Rule::F1 | Rule::A1 => {}
         }
     }
     found

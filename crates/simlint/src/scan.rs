@@ -5,10 +5,9 @@
 //! comment is not a violation). [`clean_source`] lexes the whole file once
 //! and derives, per line, the *code* portion (comment bytes and literal
 //! interiors blanked out, columns preserved) and the *comment* portion
-//! (where `simlint::allow(...)` suppressions and `simlint::shared`
-//! markers live). Because the lexer tracks multi-line constructs exactly,
-//! block comments, plain strings, and raw strings that span lines need no
-//! per-line carry state here.
+//! (where `simlint::allow(...)` suppressions live). Because the lexer
+//! tracks multi-line constructs exactly, block comments, plain strings, and
+//! raw strings that span lines need no per-line carry state here.
 
 use crate::lexer::{self, TokenKind};
 

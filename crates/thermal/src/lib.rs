@@ -49,6 +49,6 @@ mod rk4;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub mod simd;
 
-pub use network::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder, ThermalSnapshot};
+pub use network::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder};
 pub use response::{cooling_drop, cooling_efficiency, step_response};
 pub use rk4::rk4_reference;

@@ -395,29 +395,38 @@ impl ThermalNetworkBuilder {
 ///
 /// Cloning is cheap: the topology (names, conductance structure, derived
 /// caches) is shared via `Arc`, and only the mutable state — temperatures,
-/// powers, integrator workspace — is deep-copied. For an even lighter
-/// checkpoint of just the observable state, see
-/// [`snapshot`](ThermalNetwork::snapshot) / [`restore`](ThermalNetwork::restore).
+/// powers, integrator workspace — is deep-copied. A checkpoint holds just
+/// the observable state (temperatures, powers, boundary), through
+/// [`State`](dimetrodon_ckpt::State).
 #[derive(Debug, Clone)]
 pub struct ThermalNetwork {
-    // simlint::shared: Arc-shared immutable topology.
+    /// Arc-shared immutable topology.
     pub(crate) topo: Arc<Topology>,
     temperatures: Vec<f64>,
     powers: Vec<f64>,
     /// The boundary (ambient/inlet) node's temperature in °C. Starts at the
     /// builder's ambient and may be moved between steps — the rack model's
-    /// coupling knob. Observable state: snapshotted, restored, compared.
+    /// coupling knob. Observable state: checkpointed and compared.
     boundary_celsius: f64,
-    /// Integrator workspace: the previous substep's temperatures.
-    // simlint::shared: scratch, fully overwritten before every use.
+    /// Integrator workspace: the previous substep's temperatures, fully
+    /// overwritten before every use.
     scratch: Vec<f64>,
     /// Per-node decay factors for an *irregular* substep of `decay_dt_s`
     /// seconds (a remainder shorter than `max_substep`); the common
-    /// full-length factors live precomputed in the topology.
-    // simlint::shared: pure cache keyed by `decay_dt_s`, rebuilt on use.
+    /// full-length factors live precomputed in the topology. A pure
+    /// cache keyed by `decay_dt_s`, never by temperatures or powers, so
+    /// loading a checkpoint mid-flight cannot stale it.
     decay: Vec<f64>,
-    // simlint::shared: cache key for `decay`; not observable state.
+    /// Cache key for `decay`; not observable state.
     decay_dt_s: f64,
+}
+
+dimetrodon_ckpt::state! {
+    ThermalNetwork {
+        persisted: temperatures, powers, boundary_celsius;
+        derived: topo, scratch, decay, decay_dt_s;
+        check: ThermalNetwork::check_restored;
+    }
 }
 
 impl PartialEq for ThermalNetwork {
@@ -432,62 +441,14 @@ impl PartialEq for ThermalNetwork {
     }
 }
 
-/// A checkpoint of a [`ThermalNetwork`]'s observable state: temperatures,
-/// powers, and the boundary temperature. Pair with
-/// [`ThermalNetwork::restore`] to rewind a network to a recorded instant
-/// without rebuilding its topology.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThermalSnapshot {
-    temperatures: Vec<f64>,
-    powers: Vec<f64>,
-    boundary_celsius: f64,
-}
-
-impl ThermalSnapshot {
-    /// Serializes the snapshot for a durable checkpoint: every float as
-    /// its IEEE-754 bit pattern, so decode is bit-exact.
-    pub fn encode_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.f64_slice(&self.temperatures);
-        enc.f64_slice(&self.powers);
-        enc.f64(self.boundary_celsius);
-    }
-
-    /// Rebuilds a snapshot from [`encode_state`](Self::encode_state)
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short or malformed
-    /// payload, and when the two node vectors disagree in length (a
-    /// snapshot that could never have been encoded).
-    pub fn decode_state(
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        let temperatures = dec.f64_vec()?;
-        let powers = dec.f64_vec()?;
-        let boundary_celsius = dec.f64()?;
-        if temperatures.len() != powers.len() {
-            return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "thermal snapshot with {} temperatures but {} powers",
-                temperatures.len(),
-                powers.len()
-            )));
-        }
-        Ok(ThermalSnapshot {
-            temperatures,
-            powers,
-            boundary_celsius,
-        })
-    }
-
-    /// Number of nodes the snapshot covers (restore requires it to match
-    /// the target network).
-    pub fn node_count(&self) -> usize {
-        self.temperatures.len()
-    }
-}
-
 impl ThermalNetwork {
+    /// A restored network must cover exactly this topology's nodes.
+    fn check_restored(&self) -> Result<(), dimetrodon_ckpt::CkptError> {
+        let nodes = self.node_count();
+        dimetrodon_ckpt::check_len("thermal temperatures", self.temperatures.len(), nodes)?;
+        dimetrodon_ckpt::check_len("thermal powers", self.powers.len(), nodes)
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.topo.names.len()
@@ -574,36 +535,6 @@ impl ThermalNetwork {
     /// built networks return `false`.
     pub fn shares_topology(&self, other: &ThermalNetwork) -> bool {
         Arc::ptr_eq(&self.topo, &other.topo)
-    }
-
-    /// Captures the observable state (temperatures, powers, boundary).
-    pub fn snapshot(&self) -> ThermalSnapshot {
-        ThermalSnapshot {
-            temperatures: self.temperatures.clone(),
-            powers: self.powers.clone(),
-            boundary_celsius: self.boundary_celsius,
-        }
-    }
-
-    /// Rewinds the network to a previously captured snapshot.
-    ///
-    /// The integrator's decay cache is keyed only by substep length, never
-    /// by temperatures or powers, so restoring state mid-flight cannot
-    /// stale it — advancing after a restore is bit-identical to advancing
-    /// a fresh network from the same state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's node count differs from this network's.
-    pub fn restore(&mut self, snapshot: &ThermalSnapshot) {
-        assert_eq!(
-            snapshot.temperatures.len(),
-            self.temperatures.len(),
-            "snapshot node count mismatch"
-        );
-        self.temperatures.copy_from_slice(&snapshot.temperatures);
-        self.powers.copy_from_slice(&snapshot.powers);
-        self.boundary_celsius = snapshot.boundary_celsius;
     }
 
     /// Advances the network by `dt` under the currently set powers.
@@ -824,6 +755,7 @@ pub(crate) fn scalar_substep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dimetrodon_ckpt::State;
     use proptest::prelude::*;
 
     /// Under the `invariants` feature, advance() checks its physical
@@ -1030,18 +962,32 @@ mod tests {
         );
     }
 
+    /// The network's checkpoint bytes.
+    fn saved(net: &ThermalNetwork) -> Vec<u8> {
+        let mut enc = dimetrodon_ckpt::Enc::new();
+        net.save(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Loads checkpoint bytes in place, keeping the integrator caches.
+    fn load(net: &mut ThermalNetwork, bytes: &[u8]) {
+        let mut dec = dimetrodon_ckpt::Dec::new(bytes);
+        net.load(&mut dec).unwrap();
+        dec.finish().unwrap();
+    }
+
     #[test]
-    fn snapshot_round_trips_the_boundary() {
+    fn checkpoint_round_trips_the_boundary() {
         let (mut net, die) = single_node();
         net.set_power(die, 10.0);
         net.set_boundary_celsius(31.5);
         net.advance(SimDuration::from_secs(2));
-        let checkpoint = net.snapshot();
+        let checkpoint = saved(&net);
         let at_checkpoint = net.clone();
         net.set_boundary_celsius(18.0);
         net.advance(SimDuration::from_secs(2));
         assert_ne!(net, at_checkpoint);
-        net.restore(&checkpoint);
+        load(&mut net, &checkpoint);
         assert_eq!(net, at_checkpoint);
         assert_eq!(net.boundary_celsius(), 31.5);
         // Advancing after the restore follows the checkpointed boundary.
@@ -1177,13 +1123,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip_is_bit_exact() {
+    fn checkpoint_load_roundtrip_is_bit_exact() {
         let (mut net, die, _) = two_pole();
         net.set_power(die, 40.0);
         net.advance(SimDuration::from_secs(3));
-        let snap = net.snapshot();
+        let snap = saved(&net);
 
-        // Run forward from the snapshot and record the trajectory.
+        // Run forward from the checkpoint and record the trajectory.
         let mut first = net.clone();
         first.advance(SimDuration::from_secs(5));
 
@@ -1191,7 +1137,7 @@ mod tests {
         // also pollutes the decay cache), then rewind and replay.
         net.set_power(die, 5.0);
         net.advance(SimDuration::from_secs_f64(1.2345));
-        net.restore(&snap);
+        load(&mut net, &snap);
         net.advance(SimDuration::from_secs(5));
 
         for (a, b) in net.temperatures().iter().zip(first.temperatures()) {
@@ -1271,10 +1217,10 @@ mod tests {
             prop_assert!((net.temperature(pkg) - ss[1]).abs() < 0.1);
         }
 
-        /// Snapshot → restore → advance matches an uninterrupted run
+        /// Save → load → advance matches an uninterrupted run
         /// bit-for-bit for arbitrary power/duration splits.
         #[test]
-        fn prop_restore_then_advance_is_bit_identical(
+        fn prop_load_then_advance_is_bit_identical(
             power in 0.0f64..150.0,
             pre_ms in 1u64..5_000,
             post_ms in 1u64..5_000,
@@ -1283,14 +1229,14 @@ mod tests {
             let (mut net, die, _) = two_pole();
             net.set_power(die, power);
             net.advance(SimDuration::from_millis(pre_ms));
-            let snap = net.snapshot();
+            let snap = saved(&net);
 
             let mut straight = net.clone();
             straight.advance(SimDuration::from_millis(post_ms));
 
             net.set_power(die, power * 0.5);
             net.advance(SimDuration::from_millis(detour_ms));
-            net.restore(&snap);
+            load(&mut net, &snap);
             net.advance(SimDuration::from_millis(post_ms));
 
             for (a, b) in net.temperatures().iter().zip(straight.temperatures()) {

@@ -211,7 +211,7 @@ mod tests {
                     );
                 }
                 // Resync so the bound stays per-advance, not cumulative.
-                vector.restore(&scalar.snapshot());
+                vector.clone_from(&scalar);
             }
             force_scalar(false);
         }

@@ -86,6 +86,14 @@ pub struct QosStats {
     failed: u64,
 }
 
+dimetrodon_ckpt::state! {
+    QosStats {
+        persisted: latencies, good, tolerable, failed;
+        derived: ;
+        check: QosStats::check_restored;
+    }
+}
+
 impl QosStats {
     /// Records one completed request's latency, scoring it against the
     /// configuration's good/tolerable thresholds. Public so external
@@ -102,45 +110,19 @@ impl QosStats {
         }
     }
 
-    /// Serializes the accumulator (latencies as IEEE-754 bits plus the
-    /// three scoring counters) for a durable checkpoint.
-    pub fn encode_state(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.f64_slice(&self.latencies);
-        enc.u64(self.good);
-        enc.u64(self.tolerable);
-        enc.u64(self.failed);
-    }
-
-    /// Rebuilds an accumulator from [`encode_state`](Self::encode_state)
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`dimetrodon_ckpt::CkptError`] on a short payload or
-    /// when the counters disagree with the latency count (a state that
-    /// could never have been encoded).
-    pub fn decode_state(
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<Self, dimetrodon_ckpt::CkptError> {
-        let latencies = dec.f64_vec()?;
-        let good = dec.u64()?;
-        let tolerable = dec.u64()?;
-        let failed = dec.u64()?;
-        let total = good
-            .checked_add(tolerable)
-            .and_then(|n| n.checked_add(failed));
-        if total != Some(latencies.len() as u64) {
-            return Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-                "qos counters sum to {total:?} but {} latencies recorded",
-                latencies.len()
-            )));
+    /// The restored counters must score exactly the restored latencies.
+    fn check_restored(&self) -> Result<(), dimetrodon_ckpt::CkptError> {
+        let total = self
+            .good
+            .checked_add(self.tolerable)
+            .and_then(|n| n.checked_add(self.failed));
+        if total == Some(self.latencies.len() as u64) {
+            return Ok(());
         }
-        Ok(QosStats {
-            latencies,
-            good,
-            tolerable,
-            failed,
-        })
+        Err(dimetrodon_ckpt::CkptError::Malformed(format!(
+            "qos counters sum to {total:?} but {} latencies recorded",
+            self.latencies.len()
+        )))
     }
 
     /// The raw response latencies, in seconds, in completion order.
