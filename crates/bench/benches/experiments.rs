@@ -16,7 +16,6 @@ fn bench_config(seed: u64) -> RunConfig {
     RunConfig {
         duration: SimDuration::from_secs(60),
         measure_window: SimDuration::from_secs(10),
-        warmup: SimDuration::ZERO,
         seed,
     }
 }
@@ -48,7 +47,6 @@ fn experiments(c: &mut Criterion) {
         let config = RunConfig {
             duration: SimDuration::from_secs(150),
             measure_window: SimDuration::from_secs(20),
-            warmup: SimDuration::ZERO,
             seed: 15,
         };
         b.iter(|| fig5::run_subset(config, &[0.75]));

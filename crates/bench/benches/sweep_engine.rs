@@ -7,18 +7,15 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dimetrodon::{InjectionModel, InjectionParams};
 use dimetrodon_harness::sweep::{self, run_sweep, SweepPoint};
-use dimetrodon_harness::{snapshot, Actuation, RunConfig, SaturatingWorkload};
+use dimetrodon_harness::{Actuation, RunConfig, SaturatingWorkload};
 use dimetrodon_sim_core::{EventQueue, SimDuration, SimTime};
 
 /// The benchmark grid: 8 independent cpuburn characterisations, short
 /// enough to sample repeatedly but long enough to dominate pool overhead.
-/// `warmup` is the shared warm-start prefix; zero reproduces the original
-/// cold grid (actuation from the first dispatch, nothing shareable).
-fn grid(warmup: SimDuration) -> Vec<SweepPoint> {
+fn grid() -> Vec<SweepPoint> {
     let config = RunConfig {
         duration: SimDuration::from_secs(30),
         measure_window: SimDuration::from_secs(10),
-        warmup,
         seed: 7,
     };
     let mut points = Vec::new();
@@ -41,11 +38,7 @@ fn grid(warmup: SimDuration) -> Vec<SweepPoint> {
 }
 
 fn bench_sweep_engine(c: &mut Criterion) {
-    let points = grid(SimDuration::ZERO);
-    // The warm grid shares a 25 s unactuated prefix of its 30 s runs —
-    // the shape of a real (p, L) sweep, where points differ only in the
-    // controller parameters that matter after warmup.
-    let warm_points = grid(SimDuration::from_secs(25));
+    let points = grid();
     let all_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut group = c.benchmark_group("sweep_engine");
     group.sample_size(10);
@@ -57,26 +50,6 @@ fn bench_sweep_engine(c: &mut Criterion) {
             sweep::set_jobs(0);
         });
     }
-    for jobs in [1, all_cores] {
-        group.bench_function(&format!("grid8_warm_jobs{jobs}"), |b| {
-            sweep::set_jobs(jobs);
-            // Clear the snapshot store each iteration so every sample
-            // honestly pays its warmup once, rather than amortising one
-            // warmup over the whole criterion sample set.
-            b.iter(|| {
-                snapshot::reset();
-                run_sweep(&warm_points)
-            });
-            sweep::set_jobs(0);
-        });
-    }
-    group.bench_function("grid8_warm_nosnap_jobs1", |b| {
-        sweep::set_jobs(1);
-        snapshot::set_enabled(false);
-        b.iter(|| run_sweep(&warm_points));
-        snapshot::set_enabled(true);
-        sweep::set_jobs(0);
-    });
     group.finish();
 }
 

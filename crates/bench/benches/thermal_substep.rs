@@ -4,7 +4,7 @@
 //! advanced through many substeps. With `--features simd` the scalar and
 //! AVX2 kernels are measured side by side (via the runtime-dispatch
 //! override), so a kernel regression is visible independently of the
-//! sweep engine's pool and snapshot machinery.
+//! sweep engine's pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dimetrodon_thermal::{ThermalNetwork, ThermalNetworkBuilder};

@@ -16,8 +16,8 @@
 //! and writes the availability table to `results/fleet_chaos.csv`. Like
 //! every sweep-shaped binary, output is bit-identical at every `--jobs`
 //! count, and a killed run resumes from its journal with `--resume`
-//! (disable journaling with `--no-journal`; prune old journals with
-//! `--journal-gc K`).
+//! (disable journaling with `--no-journal`). The standard comparison also
+//! prunes old journals with `--journal-gc K`; `--chaos` does not.
 //!
 //! The standard comparison also writes durable mid-run checkpoints
 //! under `results/.ckpt/` every 50 control epochs (`--checkpoint-every

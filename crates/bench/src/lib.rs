@@ -19,9 +19,7 @@ use dimetrodon_harness::RunConfig;
 /// Parses the common CLI convention: `--quick` selects the shortened run
 /// configuration, `--seed N` overrides the seed, `--jobs N` sets the
 /// sweep worker count (default: one per available core; results are
-/// identical at every worker count), and `--no-snapshot` disables
-/// warm-prefix snapshot reuse (identical results, cold-path timing).
-/// Also installs the sweep supervisor from the supervision flags (see
+/// identical at every worker count). Also installs the sweep supervisor from the supervision flags (see
 /// [`supervisor_from_args`]).
 ///
 /// # Panics
@@ -38,7 +36,6 @@ pub fn run_config_from_args(default_seed: u64) -> RunConfig {
             .expect("--seed requires an integer");
     }
     apply_jobs_from_args(&args);
-    apply_snapshot_from_args(&args);
     supervise::install(supervisor_from_args(&args));
     if args.iter().any(|a| a == "--quick") {
         RunConfig::quick(seed)
@@ -141,24 +138,12 @@ pub fn apply_jobs_from_args(args: &[String]) {
     }
 }
 
-/// Applies a `--no-snapshot` argument (if present): disables warm-prefix
-/// snapshot reuse in the harness, so every run recomputes its warmup.
-/// Results are identical either way; the flag exists for timing
-/// comparisons and as an escape hatch.
-pub fn apply_snapshot_from_args(args: &[String]) {
-    if args.iter().any(|a| a == "--no-snapshot") {
-        dimetrodon_harness::snapshot::set_enabled(false);
-    }
-}
-
-/// Installs the worker-count override, the snapshot toggle, and the sweep
-/// supervisor from the process arguments, for binaries that do not take a
-/// [`RunConfig`] (the validation bins); [`run_config_from_args`] does
-/// this implicitly.
+/// Installs the worker-count override and the sweep supervisor from the
+/// process arguments, for binaries that do not take a [`RunConfig`] (the
+/// validation bins); [`run_config_from_args`] does this implicitly.
 pub fn apply_common_args() {
     let args: Vec<String> = std::env::args().collect();
     apply_jobs_from_args(&args);
-    apply_snapshot_from_args(&args);
     supervise::install(supervisor_from_args(&args));
 }
 

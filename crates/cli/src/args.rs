@@ -101,9 +101,6 @@ pub struct Options {
     pub retries: u32,
     /// Wall-clock watchdog per sweep-point attempt, seconds.
     pub point_deadline: Option<f64>,
-    /// Disable warm-prefix snapshot reuse in sweep-shaped runs (identical
-    /// results, cold-path timing).
-    pub no_snapshot: bool,
     /// Run the fleet comparison over this many rack-coupled machines
     /// instead of a single-machine scenario.
     pub fleet: Option<usize>,
@@ -148,7 +145,6 @@ impl Default for Options {
             strict: false,
             retries: 0,
             point_deadline: None,
-            no_snapshot: false,
             fleet: None,
             fleet_policy: None,
             chaos_plan_path: None,
@@ -235,8 +231,6 @@ OPTIONS:
     --retries <n>      extra attempts for a failed sweep point (seeds are
                        re-derived from the grid; deterministic)  [default: 0]
     --point-deadline <s> wall-clock watchdog per sweep-point attempt
-    --no-snapshot      recompute every warmup prefix instead of forking a
-                       cached snapshot (identical results, slower)
     --fleet <n>        run the cluster comparison over n rack-coupled
                        machines instead of a single-machine scenario
                        (honours --duration-secs, --seed, --jobs)
@@ -461,7 +455,6 @@ impl Options {
                     }
                     options.point_deadline = Some(secs);
                 }
-                "--no-snapshot" => options.no_snapshot = true,
                 "--fleet" => {
                     let raw = value_for("--fleet")?;
                     let n: usize = raw.parse().map_err(|_| ParseArgsError::BadValue {
@@ -722,13 +715,6 @@ mod tests {
             Err(ParseArgsError::BadValue { flag: "--no-checkpoint", .. })
         ));
         assert!(USAGE.contains("--checkpoint-every") && USAGE.contains("--restore"));
-    }
-
-    #[test]
-    fn no_snapshot_parses() {
-        assert!(!Options::parse(Vec::<String>::new()).unwrap().no_snapshot);
-        assert!(Options::parse(["--no-snapshot"]).unwrap().no_snapshot);
-        assert!(USAGE.contains("--no-snapshot"));
     }
 
     #[test]

@@ -29,9 +29,6 @@ fn main() -> ExitCode {
     if let Some(jobs) = options.jobs {
         dimetrodon_harness::sweep::set_jobs(jobs);
     }
-    if options.no_snapshot {
-        dimetrodon_harness::snapshot::set_enabled(false);
-    }
     dimetrodon_harness::supervise::install(dimetrodon_cli::supervisor_config(&options));
 
     if options.fleet.is_some() {

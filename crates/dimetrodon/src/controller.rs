@@ -51,7 +51,7 @@ use crate::policy::InjectionParams;
 /// );
 /// assert_eq!(controller.setpoint(), 45.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetpointController {
     inner: DimetrodonHook,
     setpoint_celsius: f64,

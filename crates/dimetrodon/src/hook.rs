@@ -33,10 +33,7 @@ use crate::policy::{InjectionModel, PolicyHandle};
 /// # Ok(())
 /// # }
 /// ```
-// Clone is deep except for `policy`: forks share the policy handle, so a
-// probability update steers every fork (matching how one userspace daemon
-// drives every core's hook in the paper's implementation).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DimetrodonHook {
     policy: PolicyHandle,
     model: InjectionModel,

@@ -32,7 +32,7 @@ use crate::policy::InjectionParams;
 /// let cap = PowerCapController::new(hook, 50.0, SimDuration::from_millis(10));
 /// assert_eq!(cap.cap_watts(), 50.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PowerCapController {
     inner: DimetrodonHook,
     cap_watts: f64,

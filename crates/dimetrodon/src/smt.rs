@@ -28,7 +28,7 @@ use crate::hook::DimetrodonHook;
 ///
 /// On non-SMT machines (no siblings) it behaves exactly like the wrapped
 /// hook.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SmtCoScheduler {
     inner: DimetrodonHook,
     /// Outstanding co-idle requests: sibling CPU → end of the window it

@@ -19,7 +19,7 @@ use crate::plan::FaultPlan;
 const MIN_JITTERED_QUANTUM: SimDuration = SimDuration::from_micros(10);
 
 /// A [`SchedHook`] wrapper that injects scheduler-side faults.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FaultyHook {
     inner: Box<dyn SchedHook>,
     plan: FaultPlan,

@@ -19,7 +19,7 @@ use crate::sensor::{SensorModel, SensorSpec};
 /// Implementations may be stateful (sample-and-hold, RNG streams), hence
 /// `&mut self`. A reading of NaN means "no data"; consumers must treat
 /// non-finite values as sensor loss, never as temperatures.
-pub trait Telemetry: fmt::Debug + Send + TelemetryClone {
+pub trait Telemetry: fmt::Debug + Send {
     /// Mean core temperature visible to a controller at `now`, in °C.
     fn mean_core_temperature(&mut self, machine: &Machine, now: SimTime) -> f64;
 
@@ -29,30 +29,6 @@ pub trait Telemetry: fmt::Debug + Send + TelemetryClone {
     /// Reads lost so far (always zero for ideal sources).
     fn dropped_reads(&self) -> u64 {
         0
-    }
-}
-
-/// Object-safe cloning for boxed telemetry sources, so controllers that
-/// hold one can be forked along with the
-/// [`System`](../dimetrodon_sched/struct.System.html) they serve.
-/// Blanket-implemented for every `Clone` source; implementors just
-/// derive (or write) `Clone`. Stateful sources (RNG streams,
-/// sample-and-hold registers) are deep-copied: forks replay the same
-/// fault draws as the original would have.
-pub trait TelemetryClone {
-    /// Boxes a copy of `self`.
-    fn clone_box(&self) -> Box<dyn Telemetry>;
-}
-
-impl<T: Telemetry + Clone + 'static> TelemetryClone for T {
-    fn clone_box(&self) -> Box<dyn Telemetry> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn Telemetry> {
-    fn clone(&self) -> Self {
-        self.clone_box()
     }
 }
 

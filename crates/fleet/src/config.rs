@@ -2,8 +2,7 @@
 
 use dimetrodon_ckpt::{fnv1a64, Enc};
 use dimetrodon_faults::FleetFaultPlan;
-use dimetrodon_harness::snapshot::encode_machine_config;
-use dimetrodon_machine::{MachineConfig, ThermalTrip};
+use dimetrodon_machine::{encode_machine_config, MachineConfig, ThermalTrip};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::WebConfig;
 
@@ -183,10 +182,10 @@ impl FleetConfig {
 
     /// The journal identity of this configuration: FNV-1a64 over an
     /// explicit field-by-field byte serialization (float bit patterns,
-    /// durations as nanoseconds). The machine section reuses the warm-key
-    /// walk from the harness, so any two configs the snapshot cache would
-    /// distinguish hash differently here too. Unlike the warm key, the
-    /// seed *is* included: the arrival stream depends on it.
+    /// durations as nanoseconds). The machine section is
+    /// [`encode_machine_config`], the one exhaustive walk of a
+    /// [`MachineConfig`], so any two machine configs hash differently
+    /// here too. The seed is included: the arrival stream depends on it.
     pub fn fingerprint(&self) -> u64 {
         let mut enc = Enc::new();
         encode_machine_config(&mut enc, &self.machine);
@@ -236,7 +235,7 @@ mod tests {
     fn fingerprint_bytes_are_pinned() {
         let config = FleetConfig::rack_scale(256, 211);
         assert_eq!(config.fingerprint(), 0x2577_ae36_7769_d0d1);
-        let machine = dimetrodon_harness::snapshot::machine_config_bytes(&config.machine);
+        let machine = dimetrodon_machine::machine_config_bytes(&config.machine);
         assert_eq!(fnv1a64(&machine), 0x0de3_d42d_124b_e62a);
     }
 

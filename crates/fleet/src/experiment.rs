@@ -11,7 +11,7 @@
 
 use dimetrodon_analysis::Table;
 use dimetrodon_ckpt::CkptError;
-use dimetrodon_harness::sweep::{jobs, parallel_map_with};
+use dimetrodon_harness::sweep::parallel_map_with;
 
 use crate::ckpt::{run_fleet_checkpointed, CheckpointSpec};
 use crate::config::FleetConfig;
@@ -31,13 +31,8 @@ pub struct FleetOutcome {
     pub replayed: bool,
 }
 
-/// Runs every [`PolicyKind`] over `config` with the global worker count
-/// ([`jobs`]), consulting `journal` for replay/append when given.
-pub fn fleet_comparison(config: &FleetConfig, journal: Option<&FleetJournal>) -> Vec<FleetOutcome> {
-    fleet_comparison_with(jobs(), config, journal)
-}
-
-/// [`fleet_comparison`] with an explicit worker count; what the
+/// Runs every [`PolicyKind`] over `config` on `workers` workers,
+/// consulting `journal` for replay/append when given; what the
 /// determinism tests drive so concurrent tests cannot flip each other's
 /// pool sizes.
 pub fn fleet_comparison_with(

@@ -24,11 +24,11 @@
 //!
 //! Everything is deterministic from [`FleetConfig::seed`]: the arrival
 //! stream is drawn before routing consults any policy, so every policy
-//! variant faces the *same* offered load, and [`fleet_comparison`] shards
-//! policy variants across worker threads with bit-identical results at
-//! every worker count. Completed variants append to a checksummed frame
-//! journal keyed by a config fingerprint, so a killed comparison resumes
-//! byte-identically.
+//! variant faces the *same* offered load, and
+//! [`fleet_comparison_checkpointed`] shards policy variants across worker
+//! threads with bit-identical results at every worker count. Completed
+//! variants append to a checksummed frame journal keyed by a config
+//! fingerprint, so a killed comparison resumes byte-identically.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,8 +51,7 @@ pub use ckpt::{
 };
 pub use config::FleetConfig;
 pub use experiment::{
-    fleet_comparison, fleet_comparison_checkpointed, fleet_comparison_with, fleet_table,
-    FleetOutcome,
+    fleet_comparison_checkpointed, fleet_comparison_with, fleet_table, FleetOutcome,
 };
 pub use health::{HealthModel, HealthState};
 pub use journal::{chaos_journal_path, journal_path, ChaosJournal, FleetJournal};

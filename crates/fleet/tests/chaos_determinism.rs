@@ -1,10 +1,9 @@
 //! Chaos determinism contract: a chaos sweep is a pure function of its
-//! [`ChaosGrid`] — worker count, the harness snapshot cache, and
-//! journal-based resume (including resume from a torn journal tail, the
-//! on-disk shape a mid-comparison SIGKILL leaves, and over bit flips, see
-//! `journal_damage.rs`) must all be invisible in the output, byte for
-//! byte, even while machines are crashing, restarting cold, and being
-//! failed over around.
+//! [`ChaosGrid`] — worker count and journal-based resume (including
+//! resume from a torn journal tail, the on-disk shape a mid-comparison
+//! SIGKILL leaves, and over bit flips, see `journal_damage.rs`) must both
+//! be invisible in the output, byte for byte, even while machines are
+//! crashing, restarting cold, and being failed over around.
 
 use std::fs;
 
@@ -14,7 +13,6 @@ use dimetrodon_fleet::{
     chaos_comparison_with, chaos_journal_path, chaos_table, fleet_comparison_with, fleet_table,
     ChaosGrid, ChaosJournal, FleetConfig, FleetJournal, PolicyKind, RECOVERY_HYSTERESIS_EPOCHS,
 };
-use dimetrodon_harness::snapshot;
 use dimetrodon_sim_core::{SimDuration, SimTime};
 
 /// The suite's reference fleet: 64 machines (four racks), shortened to
@@ -53,22 +51,6 @@ fn worker_count_is_invisible_in_the_chaos_output() {
             "chaos CSV must be bit-identical at {workers} workers"
         );
     }
-}
-
-#[test]
-fn snapshot_cache_state_is_invisible_in_the_chaos_output() {
-    // The cache toggle is process-global; run both arms back to back and
-    // restore the entry state whatever it was.
-    let was_enabled = snapshot::enabled();
-    snapshot::set_enabled(true);
-    let with_cache = chaos_csv(2, None);
-    snapshot::set_enabled(false);
-    let without_cache = chaos_csv(2, None);
-    snapshot::set_enabled(was_enabled);
-    assert_eq!(
-        with_cache, without_cache,
-        "chaos CSV must not depend on the snapshot cache"
-    );
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Fleet determinism contract: a fleet comparison is a pure function of
-//! its [`FleetConfig`] — worker count, the harness snapshot cache, and
-//! journal-based resume (including resume over a damaged journal, see
-//! `journal_damage.rs`) must all be invisible in the output, byte for
-//! byte.
+//! its [`FleetConfig`] — worker count and journal-based resume (including
+//! resume over a damaged journal, see `journal_damage.rs`) must both be
+//! invisible in the output, byte for byte.
 
 use std::fs;
 use std::io::Write as _;
@@ -10,7 +9,6 @@ use std::io::Write as _;
 use dimetrodon_fleet::{
     fleet_comparison_with, fleet_table, journal_path, FleetConfig, FleetJournal, PolicyKind,
 };
-use dimetrodon_harness::snapshot;
 use dimetrodon_sim_core::SimDuration;
 
 /// The suite's reference fleet: 64 machines (four racks), shortened to
@@ -39,22 +37,6 @@ fn worker_count_is_invisible_in_the_output() {
             "fleet CSV must be bit-identical at {workers} workers"
         );
     }
-}
-
-#[test]
-fn snapshot_cache_state_is_invisible_in_the_output() {
-    // The cache toggle is process-global; run both arms back to back and
-    // restore the entry state whatever it was.
-    let was_enabled = snapshot::enabled();
-    snapshot::set_enabled(true);
-    let with_cache = comparison_csv(2, None);
-    snapshot::set_enabled(false);
-    let without_cache = comparison_csv(2, None);
-    snapshot::set_enabled(was_enabled);
-    assert_eq!(
-        with_cache, without_cache,
-        "fleet CSV must not depend on the snapshot cache"
-    );
 }
 
 #[test]

@@ -16,20 +16,16 @@
 //! luck — is a typed [`CkptError::StateMismatch`], never a silently
 //! different result.
 //!
-//! The spec is process-global (like [`crate::snapshot`]'s enable flag)
-//! because the runner's entry points are called from deep inside sweep
-//! workers; it is `None` by default, and every run with it unset is
-//! byte-for-byte the plain `run_until` path.
+//! The CLI's scenario runs drive [`run_until_checkpointed`] directly
+//! with their own [`RunCheckpointSpec`]; characterisation sweeps never
+//! checkpoint.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-use dimetrodon_ckpt::{fnv1a64, schema_fold, CheckpointStore, CkptError, Dec, Enc, State};
-use dimetrodon_machine::{Machine, MachineConfig};
+use dimetrodon_ckpt::{schema_fold, CheckpointStore, CkptError, Dec, Enc, State};
+use dimetrodon_machine::Machine;
 use dimetrodon_sched::System;
 use dimetrodon_sim_core::SimTime;
-
-use crate::runner::{Actuation, RunConfig, SaturatingWorkload};
 
 /// Default events between checkpoints when the caller does not say.
 pub const DEFAULT_CHECKPOINT_EVERY_EVENTS: u64 = 250_000;
@@ -62,69 +58,6 @@ impl RunCheckpointSpec {
             restore: false,
         }
     }
-}
-
-/// The installed spec; `None` (the default) means plain, checkpoint-free
-/// runs.
-static SPEC: Mutex<Option<RunCheckpointSpec>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the process-global checkpoint
-/// spec consulted by every subsequent long run.
-pub fn install(spec: Option<RunCheckpointSpec>) {
-    *SPEC.lock().unwrap_or_else(|e| e.into_inner()) = spec;
-}
-
-/// The currently installed spec, if any.
-pub fn installed() -> Option<RunCheckpointSpec> {
-    SPEC.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// The checkpoint identity of a characterisation run: FNV-1a64 over an
-/// explicit byte serialization of everything the run's trajectory is a
-/// function of — the machine configuration (via the warm-prefix cache's
-/// exhaustive field walk), the workload, the actuation, and the run
-/// timing/seed. Two runs that could diverge must key differently, so a
-/// checkpoint can never be restored into the wrong run.
-pub fn run_key(
-    machine_config: &MachineConfig,
-    workload: SaturatingWorkload,
-    actuation: Actuation,
-    config: &RunConfig,
-) -> u64 {
-    let mut enc = Enc::new();
-    enc.bytes(&crate::snapshot::machine_config_bytes(machine_config));
-    match workload {
-        SaturatingWorkload::CpuBurn => enc.u8(0),
-        SaturatingWorkload::Spec(bench) => {
-            enc.u8(1);
-            enc.bytes(bench.name().as_bytes());
-        }
-    }
-    match actuation {
-        Actuation::None => enc.u8(0),
-        Actuation::Injection { params, model } => {
-            enc.u8(1);
-            enc.f64(params.p());
-            enc.u64(params.quantum().as_nanos());
-            enc.u8(match model {
-                dimetrodon::InjectionModel::Probabilistic => 0,
-                dimetrodon::InjectionModel::Deterministic => 1,
-            });
-        }
-        Actuation::Vfs { pstate } => {
-            enc.u8(2);
-            enc.u64(pstate.0 as u64);
-        }
-        Actuation::Tcc { duty } => {
-            enc.u8(3);
-            enc.f64(duty);
-        }
-    }
-    enc.u64(config.duration.as_nanos());
-    enc.u64(config.measure_window.as_nanos());
-    enc.u64(config.warmup.as_nanos());
-    enc.u64(config.seed);
-    fnv1a64(&enc.into_bytes())
 }
 
 /// What [`run_until_checkpointed`] did, for logging and tests.

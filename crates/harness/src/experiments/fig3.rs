@@ -154,7 +154,6 @@ mod tests {
         let config = RunConfig {
             duration: SimDuration::from_secs(50),
             measure_window: SimDuration::from_secs(10),
-            warmup: SimDuration::ZERO,
             seed: 33,
         };
         let golden = run_subset_sequential(config, &[0.25, 0.75], &[5, 100]);

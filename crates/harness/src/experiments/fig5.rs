@@ -198,7 +198,6 @@ mod tests {
         let config = RunConfig {
             duration: SimDuration::from_secs(200),
             measure_window: SimDuration::from_secs(30),
-            warmup: SimDuration::ZERO,
             seed: 51,
         };
         let data = run_subset(config, &[0.75]);

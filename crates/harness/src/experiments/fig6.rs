@@ -148,7 +148,6 @@ mod tests {
         RunConfig {
             duration: SimDuration::from_secs(150),
             measure_window: SimDuration::from_secs(30),
-            warmup: SimDuration::ZERO,
             seed: 61,
         }
     }

@@ -41,11 +41,10 @@
 pub mod ckpt;
 pub mod experiments;
 mod runner;
-pub mod snapshot;
 pub mod supervise;
 pub mod sweep;
 
 pub use runner::{
-    build_system, build_system_on, characterize, characterize_checkpointed, characterize_on,
-    tradeoff, Actuation, RunConfig, RunOutcome, SaturatingWorkload,
+    build_system, build_system_on, characterize, characterize_on, Actuation, RunConfig, RunOutcome,
+    SaturatingWorkload,
 };

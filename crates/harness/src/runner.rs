@@ -42,25 +42,15 @@ pub enum Actuation {
     },
 }
 
-/// Timing parameters of a characterisation run.
+/// Timing parameters of a characterisation run. Every run starts cold:
+/// the machine settles at idle, the actuation is installed before the
+/// first dispatch, and the run lasts `duration` (§3.2–3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// Total simulated run length (the paper: 300 s).
     pub duration: SimDuration,
     /// Tail window over which temperature is averaged (the paper: 30 s).
     pub measure_window: SimDuration,
-    /// Unactuated warm-start prefix. For the first `warmup` of the run the
-    /// workload executes with no actuation installed; the policy under
-    /// test attaches only when the prefix ends. Because that prefix is a
-    /// pure function of (machine, workload, warmup) — the null hook draws
-    /// no randomness, so the seed plays no part until actuation attaches —
-    /// every point of a parameter grid shares it, and the sweep engine
-    /// pays for it once and forks (see [`crate::snapshot`]). `ZERO`
-    /// (the default everywhere, and what [`paper`](RunConfig::paper) and
-    /// [`quick`](RunConfig::quick) produce) preserves the original
-    /// semantics bit for bit: actuation installed before the first
-    /// dispatch.
-    pub warmup: SimDuration,
     /// Simulation seed.
     pub seed: u64,
 }
@@ -71,7 +61,6 @@ impl RunConfig {
         RunConfig {
             duration: SimDuration::from_secs(300),
             measure_window: SimDuration::from_secs(30),
-            warmup: SimDuration::ZERO,
             seed,
         }
     }
@@ -83,24 +72,8 @@ impl RunConfig {
         RunConfig {
             duration: SimDuration::from_secs(150),
             measure_window: SimDuration::from_secs(20),
-            warmup: SimDuration::ZERO,
             seed,
         }
-    }
-
-    /// This config with a warm-start prefix of `warmup`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `warmup` is not shorter than the run duration.
-    pub fn with_warmup(mut self, warmup: SimDuration) -> Self {
-        assert!(
-            warmup < self.duration,
-            "warmup ({warmup}) must be shorter than the run ({})",
-            self.duration
-        );
-        self.warmup = warmup;
-        self
     }
 
     fn measure_from(&self) -> SimTime {
@@ -199,42 +172,6 @@ pub fn build_system_on(
     }
 }
 
-/// Installs `actuation` on an already-running system (the warm-start
-/// path: the workload has executed unactuated for the warmup prefix and
-/// the policy attaches now). Hook-based actuation takes effect at the
-/// next scheduling decision; actuator knobs affect subsequently
-/// scheduled work.
-fn install_actuation(
-    system: &mut System,
-    actuation: Actuation,
-    seed: u64,
-) -> Option<PolicyHandle> {
-    match actuation {
-        Actuation::None => None,
-        Actuation::Injection { params, model } => {
-            let policy = PolicyHandle::new();
-            policy.set_global(Some(params));
-            // Same seed derivation as `build_system_on`, so a (p, L) grid
-            // point keeps its per-point RNG stream regardless of when the
-            // hook attaches.
-            system.set_hook(Box::new(DimetrodonHook::with_model(
-                policy.clone(),
-                model,
-                seed ^ 0xD13E,
-            )));
-            Some(policy)
-        }
-        Actuation::Vfs { pstate } => {
-            system.machine_mut().set_pstate(pstate);
-            None
-        }
-        Actuation::Tcc { duty } => {
-            system.machine_mut().set_tcc_duty(duty);
-            None
-        }
-    }
-}
-
 /// The workloads the characterisation runner can drive, one instance per
 /// core (the paper "executed four instances of each benchmark in
 /// parallel", §3.2).
@@ -273,107 +210,16 @@ pub fn characterize(
 }
 
 /// [`characterize`] on an explicit machine configuration.
-///
-/// With `config.warmup` zero this is the original cold-start run:
-/// actuation installed before the first dispatch. With a non-zero warmup
-/// the workload first executes unactuated for the prefix, which is shared
-/// across grid points through the [`crate::snapshot`] cache: the first
-/// point with a given (machine, workload, warmup) pays the prefix, later
-/// points fork it. The fork resumes bit-identically to a run that never
-/// stopped, so results do not depend on whether the cache was hit (or
-/// enabled at all).
 pub fn characterize_on(
     machine_config: &MachineConfig,
     workload: SaturatingWorkload,
     actuation: Actuation,
     config: RunConfig,
 ) -> RunOutcome {
-    characterize_core(
-        machine_config,
-        workload,
-        actuation,
-        config,
-        crate::ckpt::installed().as_ref(),
-    )
-    .unwrap_or_else(|err| {
-        // Only the restore path errors (see `characterize_checkpointed`
-        // for the Result-typed entry); inside a sweep worker the panic is
-        // quarantined by the supervisor and surfaces as an incident.
-        // simlint::allow(R1): deliberate panic — quarantined by the supervisor
-        panic!("checkpoint restore failed: {err}")
-    })
-}
-
-/// [`characterize_on`] under an explicit [`RunCheckpointSpec`]
-/// (ignoring the process-global one), with restore failures as typed
-/// errors instead of a panic — the CLI's `--restore` path.
-///
-/// # Errors
-///
-/// Returns a [`dimetrodon_ckpt::CkptError`] when `spec.restore` is set
-/// and checkpoint files exist but none verifies, or the verified replay
-/// diverges from the checkpointed state.
-pub fn characterize_checkpointed(
-    machine_config: &MachineConfig,
-    workload: SaturatingWorkload,
-    actuation: Actuation,
-    config: RunConfig,
-    spec: &crate::ckpt::RunCheckpointSpec,
-) -> Result<RunOutcome, dimetrodon_ckpt::CkptError> {
-    characterize_core(machine_config, workload, actuation, config, Some(spec))
-}
-
-fn characterize_core(
-    machine_config: &MachineConfig,
-    workload: SaturatingWorkload,
-    actuation: Actuation,
-    config: RunConfig,
-    ckpt_spec: Option<&crate::ckpt::RunCheckpointSpec>,
-) -> Result<RunOutcome, dimetrodon_ckpt::CkptError> {
-    let (mut system, ids) = if config.warmup.is_zero() {
-        let (mut system, _policy) = build_system_on(machine_config, actuation, config.seed);
-        let ids = workload.spawn_on(&mut system);
-        (system, ids)
-    } else {
-        assert!(
-            config.warmup < config.duration,
-            "warmup ({}) must be shorter than the run ({})",
-            config.warmup,
-            config.duration
-        );
-        let key = crate::snapshot::warm_key(machine_config, workload, config.warmup);
-        let mut system = crate::snapshot::warmed(key, || {
-            let mut machine = Machine::new(machine_config.clone())
-                .expect("machine config is valid"); // simlint::allow(R1): every caller passes a preset or a perturbation of one; an invalid config is a harness bug
-            machine.settle_idle();
-            let mut system = System::new(machine);
-            workload.spawn_on(&mut system);
-            system.run_until(SimTime::ZERO + config.warmup);
-            system
-        });
-        install_actuation(&mut system, actuation, config.seed);
-        // Thread ids are allocated densely in spawn order, so the fork's
-        // ids are exactly what `spawn_on` returned when the prefix was
-        // built.
-        let ids = system.thread_ids().collect();
-        (system, ids)
-    };
+    let (mut system, _policy) = build_system_on(machine_config, actuation, config.seed);
+    let ids = workload.spawn_on(&mut system);
     let idle_temp = system.machine().idle_temperature();
-    let deadline = SimTime::ZERO + config.duration;
-    match ckpt_spec {
-        Some(spec) => {
-            let key = crate::ckpt::run_key(machine_config, workload, actuation, &config);
-            let report =
-                crate::ckpt::run_until_checkpointed(&mut system, deadline, key, "char", spec)?;
-            if report.verified_events > 0 {
-                eprintln!(
-                    "[restore: verified {} replayed event(s) against the checkpoint]",
-                    report.verified_events
-                );
-            }
-        }
-        None => system.run_until(deadline),
-    }
+    system.run_until(SimTime::ZERO + config.duration);
 
     // The paper's temperature metric: coretemp reads taken by the
     // monitoring process, which land at scheduling boundaries.
@@ -409,29 +255,14 @@ fn characterize_core(
         .map(|(sec, (&s, &c))| (sec as f64, s / c as f64))
         .collect();
 
-    Ok(RunOutcome {
+    RunOutcome {
         idle_temp,
         tail_temp,
         throughput: executed / (cores * config.duration.as_secs_f64()),
         temp_series: system.mean_temp_series().clone(),
         observed_curve,
         injected_idles: system.total_injected_idles(),
-    })
-}
-
-/// A full trade-off measurement: runs the workload unconstrained and
-/// under `actuation`, returning `(temp_reduction, throughput_reduction)`.
-pub fn tradeoff(
-    workload: SaturatingWorkload,
-    actuation: Actuation,
-    config: RunConfig,
-) -> (f64, f64) {
-    let base = characterize(workload, Actuation::None, config);
-    let run = characterize(workload, actuation, config);
-    (
-        run.temp_reduction_vs(&base),
-        run.throughput_reduction_vs(&base),
-    )
+    }
 }
 
 #[cfg(test)]
@@ -442,7 +273,6 @@ mod tests {
         RunConfig {
             duration: SimDuration::from_secs(100),
             measure_window: SimDuration::from_secs(15),
-            warmup: SimDuration::ZERO,
             seed: 1,
         }
     }
@@ -527,7 +357,6 @@ mod tests {
             let cfg = RunConfig {
                 duration: SimDuration::from_secs(120),
                 measure_window: SimDuration::from_secs(20),
-                warmup: SimDuration::ZERO,
                 seed,
             };
             let base = characterize_on(

@@ -235,11 +235,6 @@ pub fn install(config: SupervisorConfig) {
     *CONFIG.lock().unwrap_or_else(|e| e.into_inner()) = Some(config);
 }
 
-/// Removes the installed supervisor; sweeps revert to the bare pool.
-pub fn clear() {
-    *CONFIG.lock().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
 /// The currently installed supervisor configuration, if any.
 pub fn installed() -> Option<SupervisorConfig> {
     CONFIG.lock().unwrap_or_else(|e| e.into_inner()).clone()
@@ -642,7 +637,6 @@ mod tests {
         RunConfig {
             duration: SimDuration::from_secs(2),
             measure_window: SimDuration::from_secs(1),
-            warmup: SimDuration::ZERO,
             seed,
         }
     }
@@ -760,7 +754,6 @@ mod tests {
         let slow = RunConfig {
             duration: SimDuration::from_secs(1800),
             measure_window: SimDuration::from_secs(1),
-            warmup: SimDuration::ZERO,
             seed: 4,
         };
         let points = vec![SweepPoint::new(

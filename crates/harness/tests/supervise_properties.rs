@@ -36,7 +36,6 @@ fn tiny_config(seed: u64) -> RunConfig {
     RunConfig {
         duration: SimDuration::from_secs(2),
         measure_window: SimDuration::from_secs(1),
-        warmup: SimDuration::ZERO,
         seed,
     }
 }
@@ -204,7 +203,7 @@ proptest! {
             let dir = scratch_dir(&format!("resume-{seed}-{kill_after}-{workers}"));
             drop(std::fs::remove_dir_all(&dir));
             std::fs::create_dir_all(&dir).expect("scratch dir");
-            std::fs::write(journal_path(&dir, sweep), &kept).expect("write truncated journal");
+            std::fs::write(journal_path(&dir, sweep), kept).expect("write truncated journal");
             set_jobs(workers);
             take_replayed();
             let resumed = run_supervised(

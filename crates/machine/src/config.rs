@@ -1,5 +1,6 @@
 //! Machine configuration and the calibrated test-platform preset.
 
+use dimetrodon_ckpt::Enc;
 use dimetrodon_power::{CorePowerParams, CoreState, PStateTable, PackagePowerParams};
 use dimetrodon_sim_core::SimDuration;
 
@@ -347,6 +348,92 @@ impl MachineConfig {
     }
 }
 
+/// Appends every field of a [`MachineConfig`] — if a field is added, this
+/// exhaustive walk is where it must join the identity. Every ingredient
+/// contributes its exact bit pattern, and every enum or `Option` a tag
+/// byte, so adjacent sections never alias. `Debug` renderings are *not* a
+/// stable identity: float formatting is lossy about representation, and a
+/// `Debug` impl can legally omit fields. Identities that must distinguish
+/// any two machine configurations (the fleet journal fingerprint) embed
+/// these bytes instead of growing a second, independently-maintained walk.
+pub fn encode_machine_config(enc: &mut Enc, m: &MachineConfig) {
+    enc.u64(m.num_cores as u64);
+    enc.u64(m.threads_per_core as u64);
+
+    enc.f64(m.core_power.c_eff);
+    enc.f64(m.core_power.leak_coeff);
+    enc.f64(m.core_power.leak_t0);
+    enc.f64(m.core_power.leak_tc);
+    enc.f64(m.core_power.c1e_residual);
+    enc.f64(m.core_power.c6_residual);
+    enc.f64(m.core_power.nop_activity);
+
+    enc.f64(m.package_power.uncore);
+
+    enc.u64(m.pstates.len() as u64);
+    for (id, pstate) in m.pstates.iter() {
+        enc.u64(id.0 as u64);
+        enc.u64(pstate.frequency_mhz() as u64);
+        enc.f64(pstate.voltage());
+    }
+
+    enc.f64(m.thermal.ambient_celsius);
+    enc.f64(m.thermal.die_capacitance);
+    enc.f64(m.thermal.die_to_package);
+    enc.f64(m.thermal.hotspot_capacitance);
+    enc.f64(m.thermal.hotspot_to_die);
+    enc.f64(m.thermal.hotspot_power_fraction);
+    enc.f64(m.thermal.die_to_die);
+    enc.f64(m.thermal.package_capacitance);
+    enc.f64(m.thermal.package_to_heatsink);
+    enc.f64(m.thermal.heatsink_capacitance);
+    enc.f64(m.thermal.heatsink_to_ambient);
+
+    enc.u8(match m.idle_mode {
+        IdleMode::C1e => 0,
+        IdleMode::NopLoop => 1,
+    });
+
+    match &m.deep_idle {
+        None => enc.u8(0),
+        Some(deep) => {
+            enc.u8(1);
+            enc.u64(deep.min_residency.as_nanos());
+            enc.u64(deep.extra_resume_penalty.as_nanos());
+        }
+    }
+
+    match &m.thermal_throttle {
+        None => enc.u8(0),
+        Some(throttle) => {
+            enc.u8(1);
+            enc.f64(throttle.trigger_celsius);
+            enc.f64(throttle.hysteresis);
+            enc.f64(throttle.throttle_duty);
+        }
+    }
+
+    match &m.thermal_trip {
+        None => enc.u8(0),
+        Some(trip) => {
+            enc.u8(1);
+            enc.f64(trip.critical_celsius);
+            enc.f64(trip.release_celsius);
+            enc.f64(trip.trip_duty);
+            enc.u64(trip.min_hold.as_nanos());
+        }
+    }
+
+    enc.bool(m.per_core_dvfs);
+}
+
+/// The bytes [`encode_machine_config`] writes, on their own.
+pub fn machine_config_bytes(machine: &MachineConfig) -> Vec<u8> {
+    let mut enc = Enc::new();
+    encode_machine_config(&mut enc, machine);
+    enc.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,5 +507,66 @@ mod tests {
         let tau_ms = t.hotspot_capacitance / t.hotspot_to_die * 1e3;
         assert!((0.5..5.0).contains(&tau_ms), "hotspot tau {tau_ms} ms");
         assert!((0.0..=1.0).contains(&t.hotspot_power_fraction));
+    }
+
+    #[test]
+    fn config_bytes_are_equal_for_equal_configs_and_separate_idle_modes() {
+        let base = machine_config_bytes(&MachineConfig::xeon_e5520());
+        assert_eq!(
+            base,
+            machine_config_bytes(&MachineConfig::xeon_e5520()),
+            "equal configs must encode equal"
+        );
+        assert_ne!(
+            base,
+            machine_config_bytes(&MachineConfig::xeon_e5520_nop_idle()),
+            "the idle mode must separate encodings"
+        );
+    }
+
+    #[test]
+    fn config_bytes_distinguish_sign_zero() {
+        // A Debug-formatted identity is at the mercy of float formatting;
+        // the bytes must carry the exact bit pattern, so configs differing
+        // only in the sign of a zero field encode differently.
+        let mut positive = MachineConfig::xeon_e5520();
+        let mut negative = positive.clone();
+        positive.package_power.uncore = 0.0;
+        negative.package_power.uncore = -0.0;
+        assert_ne!(
+            machine_config_bytes(&positive),
+            machine_config_bytes(&negative),
+            "-0.0 and 0.0 are distinct configs and must encode distinctly"
+        );
+    }
+
+    #[test]
+    fn config_bytes_distinguish_option_presence_and_payload() {
+        // A field that is present-vs-absent (or differs only inside the
+        // payload) must always move the bytes.
+        let base = MachineConfig::xeon_e5520();
+        let mut with_deep = base.clone();
+        with_deep.deep_idle = Some(DeepIdleConfig {
+            min_residency: SimDuration::from_millis(5),
+            extra_resume_penalty: SimDuration::from_micros(10),
+        });
+        let mut with_longer_residency = with_deep.clone();
+        with_longer_residency.deep_idle = Some(DeepIdleConfig {
+            min_residency: SimDuration::from_millis(6),
+            extra_resume_penalty: SimDuration::from_micros(10),
+        });
+        let base = machine_config_bytes(&base);
+        let deep = machine_config_bytes(&with_deep);
+        let longer = machine_config_bytes(&with_longer_residency);
+        assert_ne!(base, deep, "Option presence must move the bytes");
+        assert_ne!(deep, longer, "Option payload must move the bytes");
+    }
+
+    #[test]
+    fn config_bytes_distinguish_flag_fields() {
+        let base = MachineConfig::xeon_e5520();
+        let mut per_core = base.clone();
+        per_core.per_core_dvfs = true;
+        assert_ne!(machine_config_bytes(&base), machine_config_bytes(&per_core));
     }
 }

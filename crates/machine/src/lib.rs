@@ -39,5 +39,8 @@
 mod config;
 mod machine;
 
-pub use config::{DeepIdleConfig, IdleMode, MachineConfig, ThermalSpec, ThermalThrottle, ThermalTrip};
+pub use config::{
+    encode_machine_config, machine_config_bytes, DeepIdleConfig, IdleMode, MachineConfig,
+    ThermalSpec, ThermalThrottle, ThermalTrip,
+};
 pub use machine::{CoreId, Machine, MachineError, MIN_TCC_DUTY};

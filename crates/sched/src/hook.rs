@@ -44,7 +44,7 @@ pub struct ScheduleContext<'a> {
 
 /// A scheduler-decision hook (the Dimetrodon mechanism's attachment
 /// point).
-pub trait SchedHook: fmt::Debug + SchedHookClone {
+pub trait SchedHook: fmt::Debug {
     /// Called each time the scheduler is about to dispatch `ctx.thread`
     /// on `ctx.core`.
     fn on_schedule(&mut self, ctx: &ScheduleContext<'_>) -> Decision;
@@ -59,31 +59,6 @@ pub trait SchedHook: fmt::Debug + SchedHookClone {
     /// override this to return `Some(self)`; the default opts out.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
-    }
-}
-
-/// Object-safe cloning for boxed hooks, so a whole
-/// [`System`](crate::System) can be forked with its policy state intact.
-/// Blanket-implemented for every `Clone` hook; implementors just derive
-/// (or write) `Clone`.
-///
-/// Hooks whose state lives behind `Rc` handles (e.g. a policy whose
-/// counters a harness reads back) clone the *handle*: forks of such a
-/// system keep feeding the same shared state.
-pub trait SchedHookClone {
-    /// Boxes a copy of `self`.
-    fn clone_box(&self) -> Box<dyn SchedHook>;
-}
-
-impl<T: SchedHook + Clone + 'static> SchedHookClone for T {
-    fn clone_box(&self) -> Box<dyn SchedHook> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn SchedHook> {
-    fn clone(&self) -> Self {
-        self.clone_box()
     }
 }
 

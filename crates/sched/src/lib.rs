@@ -44,8 +44,8 @@ mod thread;
 mod trace;
 
 pub use body::{FixedWork, Spin};
-pub use hook::{Decision, NullHook, SchedHook, SchedHookClone, ScheduleContext};
-pub use scheduler::{BsdScheduler, Scheduler, SchedulerClone, UleScheduler};
+pub use hook::{Decision, NullHook, SchedHook, ScheduleContext};
+pub use scheduler::{BsdScheduler, Scheduler, UleScheduler};
 pub use system::{SchedConfig, System};
-pub use thread::{Action, Burst, ThreadBody, ThreadBodyClone, ThreadId, ThreadKind, ThreadStats};
+pub use thread::{Action, Burst, ThreadBody, ThreadId, ThreadKind, ThreadStats};
 pub use trace::{DecisionTrace, TraceEvent, TraceRecord};

@@ -15,7 +15,7 @@ use crate::thread::{ThreadId, ThreadKind};
 /// The [`System`](crate::System) owns thread state; the scheduler only
 /// tracks runnable membership and its own priority bookkeeping. Methods are
 /// notifications from the system.
-pub trait Scheduler: fmt::Debug + SchedulerClone {
+pub trait Scheduler: fmt::Debug {
     /// A thread came into existence.
     fn on_spawn(&mut self, id: ThreadId, kind: ThreadKind);
     /// A thread exited (it is guaranteed not runnable at this point).
@@ -34,27 +34,6 @@ pub trait Scheduler: fmt::Debug + SchedulerClone {
     fn timeslice(&self) -> SimDuration;
     /// Number of currently runnable (queued) threads.
     fn runnable_count(&self) -> usize;
-}
-
-/// Object-safe cloning for boxed schedulers, so a whole
-/// [`System`](crate::System) can be forked mid-run with its runqueue and
-/// priority bookkeeping intact. Blanket-implemented for every `Clone`
-/// scheduler; implementors just derive (or write) `Clone`.
-pub trait SchedulerClone {
-    /// Boxes a copy of `self`.
-    fn clone_box(&self) -> Box<dyn Scheduler>;
-}
-
-impl<T: Scheduler + Clone + 'static> SchedulerClone for T {
-    fn clone_box(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn Scheduler> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// The 4.4BSD scheduler: a global multi-level feedback queue with a fixed

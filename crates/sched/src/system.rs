@@ -94,7 +94,7 @@ enum ThreadRun {
     Exited,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ThreadState {
     kind: ThreadKind,
     body: Box<dyn ThreadBody>,
@@ -160,14 +160,7 @@ struct CoreCtl {
 /// # Ok(())
 /// # }
 /// ```
-/// Cloning deep-copies every piece of mutable simulation state — machine,
-/// scheduler bookkeeping, threads, event calendar, recorded series — so a
-/// clone advances independently and bit-identically to the original having
-/// continued uninterrupted. That is how a parameter sweep forks one warm
-/// prefix N times. (Immutable thermal topology is shared via `Arc`; hook or
-/// body state held behind `Rc` handles stays shared, see
-/// [`SchedHookClone`](crate::SchedHookClone).)
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct System {
     machine: Machine,
     scheduler: Box<dyn Scheduler>,

@@ -79,33 +79,9 @@ pub enum Action {
 /// always at the simulated instant `now`, which lets bodies measure
 /// latencies (e.g. a web connection computing response time as `now` minus
 /// the instant its request was issued).
-pub trait ThreadBody: fmt::Debug + ThreadBodyClone {
+pub trait ThreadBody: fmt::Debug {
     /// The thread's next action. `now` is the current simulated time.
     fn next_action(&mut self, now: SimTime) -> Action;
-}
-
-/// Object-safe cloning for boxed thread bodies, so a whole
-/// [`System`](crate::System) can be forked. Blanket-implemented for every
-/// `Clone` body; implementors just derive (or write) `Clone`.
-///
-/// Bodies that share interior state through `Rc` (e.g. completion counters
-/// read by a harness) clone the *handle*, not the state: forks of such a
-/// system keep feeding the same counters.
-pub trait ThreadBodyClone {
-    /// Boxes a copy of `self`.
-    fn clone_box(&self) -> Box<dyn ThreadBody>;
-}
-
-impl<T: ThreadBody + Clone + 'static> ThreadBodyClone for T {
-    fn clone_box(&self) -> Box<dyn ThreadBody> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn ThreadBody> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Per-thread accounting maintained by the system.

@@ -21,7 +21,6 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-#[derive(Clone)]
 struct HeapEntry<E> {
     at: SimTime,
     seq: u64,
@@ -73,10 +72,7 @@ impl<E> Eq for HeapEntry<E> {}
 /// assert_eq!(queue.pop().map(|s| s.event), Some("later"));
 /// assert!(queue.pop().is_none());
 /// ```
-// Cloning copies the heap's backing storage verbatim, so a clone pops the
-// exact same event order as the original — forks of a simulation replay
-// deterministically.
-#[derive(Default, Clone)]
+#[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,

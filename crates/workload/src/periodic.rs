@@ -72,9 +72,7 @@ impl CycleCounter {
 /// assert_eq!(cycles.completed(), 0);
 /// # let _ = body;
 /// ```
-// Clone shares the `CycleCounter` handle: forks report completions into
-// the same counters the harness is already watching.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PeriodicBurn {
     work: SimDuration,
     sleep: SimDuration,

@@ -220,9 +220,7 @@ enum Phase {
 /// Spawn one per configured connection (see
 /// [`spawn_web_workload`](crate::spawn_web_workload) for the convenience
 /// wrapper).
-// Clone shares the `QosHandle`: forks record latencies into the same
-// QoS accumulator the harness is already watching.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Connection {
     config: WebConfig,
     stats: QosHandle,

@@ -18,7 +18,6 @@ fn main() {
     let config = RunConfig {
         duration: dimetrodon_repro::sim::SimDuration::from_secs(200),
         measure_window: dimetrodon_repro::sim::SimDuration::from_secs(30),
-        warmup: dimetrodon_repro::sim::SimDuration::ZERO,
         seed: 5,
     };
     println!(

@@ -19,7 +19,6 @@ fn main() {
     let config = RunConfig {
         duration: SimDuration::from_secs(150),
         measure_window: SimDuration::from_secs(30),
-        warmup: SimDuration::ZERO,
         seed: 6,
     };
     println!(

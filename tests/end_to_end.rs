@@ -15,7 +15,6 @@ fn quick(seed: u64) -> RunConfig {
     RunConfig {
         duration: SimDuration::from_secs(100),
         measure_window: SimDuration::from_secs(15),
-        warmup: SimDuration::ZERO,
         seed,
     }
 }
