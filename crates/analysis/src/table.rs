@@ -77,6 +77,10 @@ impl Table {
                 if i > 0 {
                     out.push_str("  ");
                 }
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write into a String cannot fail"
+                )]
                 let _ = write!(out, "{cell:<w$}");
             }
             // Trim trailing padding.

@@ -23,7 +23,7 @@ use dimetrodon::{
     SmtCoScheduler,
 };
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{banner, run_config_from_args, write_csv};
+use dimetrodon_bench::{banner, run_config_from_args, write_csv, SUPERVISION_FLAGS};
 use dimetrodon_harness::sweep::{parallel_map, run_sweep, SweepPoint};
 use dimetrodon_harness::{characterize, Actuation, RunConfig, SaturatingWorkload};
 use dimetrodon_machine::{Machine, MachineConfig, ThermalThrottle};
@@ -34,7 +34,7 @@ use dimetrodon_sim_core::{SimDuration, SimTime};
 use dimetrodon_workload::CpuBurn;
 
 fn main() -> std::process::ExitCode {
-    let config = run_config_from_args(111);
+    let config = run_config_from_args(111, SUPERVISION_FLAGS);
     let mut table = Table::new(vec!["ablation", "variant", "metric", "value"]);
 
     injection_model(&mut table, config);

@@ -40,6 +40,15 @@ fn main() -> ExitCode {
     let (Some(cmd), Some(path)) = (args.first(), args.get(1)) else {
         return usage();
     };
+    let max_args = match cmd.as_str() {
+        "info" => 2,
+        "truncate" | "torture" => 3,
+        "flip" => 4,
+        _ => return usage(),
+    };
+    if args.len() > max_args {
+        return usage();
+    }
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(err) => {

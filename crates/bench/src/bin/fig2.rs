@@ -6,7 +6,7 @@
 //! ```
 
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{banner, run_config_from_args, write_csv};
+use dimetrodon_bench::{banner, run_config_from_args, write_csv, SUPERVISION_FLAGS};
 use dimetrodon_harness::experiments::fig2;
 
 fn main() -> std::process::ExitCode {
@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
         "Figure 2",
         "temperature rise over idle, 4x cpuburn, varying idle proportion p (L = 100 ms)",
     );
-    let config = run_config_from_args(102);
+    let config = run_config_from_args(102, SUPERVISION_FLAGS);
     let data = fig2::run(config);
 
     println!("idle temperature: {:.1} C", data.idle_temp);

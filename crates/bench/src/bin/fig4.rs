@@ -6,7 +6,9 @@
 //! ```
 
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{banner, quick_requested, run_config_from_args, write_csv};
+use dimetrodon_bench::{
+    banner, quick_requested, run_config_from_args, write_csv, SUPERVISION_FLAGS,
+};
 use dimetrodon_harness::experiments::fig4::{self, SweepPoint};
 
 fn rows(table: &mut Table, mechanism: &str, points: &[SweepPoint], pareto: &[SweepPoint]) {
@@ -29,7 +31,7 @@ fn main() -> std::process::ExitCode {
         "Figure 4",
         "Dimetrodon vs voltage/frequency scaling vs p4tcc clock duty cycling",
     );
-    let config = run_config_from_args(104);
+    let config = run_config_from_args(104, SUPERVISION_FLAGS);
     let data = if quick_requested() {
         fig4::run_subset(config, &[0.25, 0.75], &[5, 100], true)
     } else {

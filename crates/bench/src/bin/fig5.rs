@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
         "Figure 5",
         "global vs per-thread control: cool-process throughput vs system temperature reduction",
     );
-    let config = run_config_from_args(105);
+    let config = run_config_from_args(105, &[]);
     let data = if quick_requested() {
         fig5::run_subset(config, &[0.5, 0.9])
     } else {

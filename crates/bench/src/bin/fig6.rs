@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
         "Figure 6",
         "QoS vs temperature reduction for the 440-connection web workload",
     );
-    let config = run_config_from_args(106);
+    let config = run_config_from_args(106, &[]);
     let data = if quick_requested() {
         fig6::run_subset(config, &[0.5, 0.9], &[50, 100])
     } else {

@@ -29,7 +29,7 @@
 
 use dimetrodon_bench::{
     apply_common_args, apply_journal_gc_from_args, banner, checkpoint_args, ckpt_dir,
-    quick_requested, results_dir, write_csv,
+    quick_requested, results_dir, write_csv, Flag,
 };
 use dimetrodon_fleet::{
     chaos_comparison, chaos_table, fleet_comparison_checkpointed, fleet_table, ChaosGrid,
@@ -37,13 +37,27 @@ use dimetrodon_fleet::{
     QUICK_INTENSITIES, RECOVERY_HYSTERESIS_EPOCHS,
 };
 
+/// The flags this binary reads besides the common ones.
+const FLAGS: &[Flag] = &[
+    ("--quick", false),
+    ("--seed", true),
+    ("--machines", true),
+    ("--chaos", false),
+    ("--chaos-plan", true),
+    ("--checkpoint-every", true),
+    ("--no-checkpoint", false),
+    ("--restore", false),
+    ("--journal-gc", true),
+    ("--no-journal", false),
+    ("--resume", false),
+];
+
 fn main() -> std::process::ExitCode {
+    let args = apply_common_args(FLAGS);
     banner(
         "fleet",
         "cluster routing policies over a rack-coupled fleet; placement as a thermal knob",
     );
-    apply_common_args();
-    let args: Vec<String> = std::env::args().collect();
     let seed = match args.iter().position(|a| a == "--seed") {
         Some(pos) => args
             .get(pos + 1)

@@ -11,7 +11,7 @@ use dimetrodon_bench::{apply_common_args, banner, quick_requested, write_csv};
 use dimetrodon_harness::experiments::validation;
 
 fn main() -> std::process::ExitCode {
-    apply_common_args();
+    apply_common_args(&[("--quick", false)]);
     banner(
         "S3.3 (energy)",
         "Dimetrodon energy / race-to-idle energy over equal windows (7 s finite cpuburn)",

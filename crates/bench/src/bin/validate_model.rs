@@ -11,8 +11,7 @@ use dimetrodon_analysis::Table;
 use dimetrodon_bench::{apply_common_args, banner, quick_requested, write_csv};
 use dimetrodon_harness::experiments::validation;
 
-fn trials_from_args(default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
+fn trials_from_args(args: &[String], default: usize) -> usize {
     match args.iter().position(|a| a == "--trials") {
         Some(pos) => args
             .get(pos + 1)
@@ -23,12 +22,12 @@ fn trials_from_args(default: usize) -> usize {
 }
 
 fn main() -> std::process::ExitCode {
-    apply_common_args();
+    let args = apply_common_args(&[("--quick", false), ("--trials", true)]);
     banner(
         "S3.3 (throughput)",
         "measured runtime vs D(t) = R + S*p/(1-p)*L over the paper's (p, L) grid",
     );
-    let trials = trials_from_args(if quick_requested() { 5 } else { 30 });
+    let trials = trials_from_args(&args, if quick_requested() { 5 } else { 30 });
     println!("running {trials} trials per configuration (paper: 100)...\n");
     let v = validation::throughput(trials, 108);
 

@@ -8,7 +8,7 @@
 //! paper's 300 s methodology.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -16,18 +16,81 @@ use dimetrodon_analysis::Table;
 use dimetrodon_harness::supervise::{self, PanicPolicy, SupervisorConfig};
 use dimetrodon_harness::RunConfig;
 
-/// Parses the common CLI convention: `--quick` selects the shortened run
-/// configuration, `--seed N` overrides the seed, `--jobs N` sets the
-/// sweep worker count (default: one per available core; results are
-/// identical at every worker count). Also installs the sweep supervisor from the supervision flags (see
-/// [`supervisor_from_args`]).
+/// A flag a binary accepts: its name and whether a value follows it.
+pub type Flag = (&'static str, bool);
+
+/// The supervision flags (see [`supervisor_from_args`]), accepted by the
+/// binaries whose sweeps run through `run_sweep` and so under the
+/// supervisor.
+pub const SUPERVISION_FLAGS: &[Flag] = &[
+    ("--strict", false),
+    ("--retries", true),
+    ("--point-deadline", true),
+    ("--sweep-budget", true),
+    ("--resume", false),
+    ("--no-journal", false),
+];
+
+/// The flags [`run_config`] reads: `--quick` and `--seed N`.
+const RUN_FLAGS: &[Flag] = &[("--quick", false), ("--seed", true)];
+
+/// Checks that every argument is one of the `accepted` flags, followed by
+/// its value when it takes one; the error names the first that is not.
+fn check_flags(args: &[String], accepted: &[Flag]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match accepted.iter().find(|(name, _)| name == arg) {
+            None => return Err(format!("unknown argument `{arg}`")),
+            Some((name, true)) if rest.next().is_none() => {
+                return Err(format!("{name} requires a value"));
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(())
+}
+
+/// Reads the process arguments (program name excluded) and checks them
+/// against `--jobs N` and the binary's own `extra` flags; anything else
+/// prints the accepted flags and exits with status 2. Then applies
+/// `--jobs` and installs the sweep supervisor, and returns the arguments
+/// for the binary's own flags.
+pub fn apply_common_args(extra: &[Flag]) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let accepted: Vec<Flag> = [("--jobs", true)].iter().chain(extra).copied().collect();
+    if let Err(err) = check_flags(&args, &accepted) {
+        let flags: Vec<String> = accepted
+            .iter()
+            .map(|&(name, value)| {
+                if value {
+                    format!("{name} <value>")
+                } else {
+                    name.to_string()
+                }
+            })
+            .collect();
+        eprintln!("error: {err}\naccepted flags: {}", flags.join(" "));
+        std::process::exit(2);
+    }
+    apply_jobs_from_args(&args);
+    supervise::install(supervisor_from_args(&args));
+    args
+}
+
+/// [`apply_common_args`] for the figure and table binaries, which also
+/// accept `--quick` (the shortened configuration) and `--seed N`.
+pub fn run_config_from_args(default_seed: u64, extra: &[Flag]) -> RunConfig {
+    let accepted: Vec<Flag> = RUN_FLAGS.iter().chain(extra).copied().collect();
+    run_config(&apply_common_args(&accepted), default_seed)
+}
+
+/// The run configuration `args` select: `--quick` picks the shortened
+/// configuration, `--seed N` overrides `default_seed`.
 ///
 /// # Panics
 ///
-/// Panics if `--seed` or `--jobs` is present without a valid integer
-/// after it.
-pub fn run_config_from_args(default_seed: u64) -> RunConfig {
-    let args: Vec<String> = std::env::args().collect();
+/// Panics if `--seed` is not followed by an integer.
+fn run_config(args: &[String], default_seed: u64) -> RunConfig {
     let mut seed = default_seed;
     if let Some(pos) = args.iter().position(|a| a == "--seed") {
         seed = args
@@ -35,8 +98,6 @@ pub fn run_config_from_args(default_seed: u64) -> RunConfig {
             .and_then(|s| s.parse().ok())
             .expect("--seed requires an integer");
     }
-    apply_jobs_from_args(&args);
-    supervise::install(supervisor_from_args(&args));
     if args.iter().any(|a| a == "--quick") {
         RunConfig::quick(seed)
     } else {
@@ -85,7 +146,7 @@ pub fn supervisor_from_args(args: &[String]) -> SupervisorConfig {
     let journal_dir = if args.iter().any(|a| a == "--no-journal") {
         None
     } else {
-        Some(results_dir().join(".journal"))
+        Some(PathBuf::from("results").join(".journal"))
     };
     SupervisorConfig {
         policy: if args.iter().any(|a| a == "--strict") {
@@ -136,15 +197,6 @@ pub fn apply_jobs_from_args(args: &[String]) {
         assert!(jobs > 0, "--jobs requires a positive integer");
         dimetrodon_harness::sweep::set_jobs(jobs);
     }
-}
-
-/// Installs the worker-count override and the sweep supervisor from the
-/// process arguments, for binaries that do not take a [`RunConfig`] (the
-/// validation bins); [`run_config_from_args`] does this implicitly.
-pub fn apply_common_args() {
-    let args: Vec<String> = std::env::args().collect();
-    apply_jobs_from_args(&args);
-    supervise::install(supervisor_from_args(&args));
 }
 
 /// Whether `--quick` was passed (for binaries that scale sweep grids as
@@ -243,7 +295,12 @@ pub fn results_dir() -> PathBuf {
 
 /// Writes a table as CSV under `results/` and reports the path.
 pub fn write_csv(name: &str, table: &Table) {
-    let path = results_dir().join(format!("{name}.csv"));
+    write_csv_in(&results_dir(), name, table);
+}
+
+/// Writes a table as `dir/name.csv` and reports the path.
+fn write_csv_in(dir: &Path, name: &str, table: &Table) {
+    let path = dir.join(format!("{name}.csv"));
     fs::write(&path, table.render_csv()).expect("write csv");
     println!("[wrote {}]", path.display());
 }
@@ -275,23 +332,55 @@ pub fn fig3_table(data: &dimetrodon_harness::experiments::fig3::Fig3Data) -> Tab
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
     fn default_config_is_paper_scale() {
-        let config = run_config_from_args(5);
+        let config = run_config(&[], 5);
         assert_eq!(config.seed, 5);
         assert_eq!(
             config.duration,
             dimetrodon_sim_core::SimDuration::from_secs(300)
         );
+        assert_eq!(run_config(&args(&["--quick", "--seed", "9"]), 5).seed, 9);
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_rejected() {
+        let accepted: Vec<Flag> = RUN_FLAGS.iter().chain(SUPERVISION_FLAGS).copied().collect();
+        assert_eq!(
+            check_flags(&args(&["--quick", "--seed", "2", "--resume"]), &accepted),
+            Ok(())
+        );
+        assert_eq!(
+            check_flags(&args(&["--quick", "--resume"]), RUN_FLAGS),
+            Err("unknown argument `--resume`".to_string())
+        );
+        assert_eq!(
+            check_flags(&args(&["--quick", "--jbos", "2"]), &accepted),
+            Err("unknown argument `--jbos`".to_string())
+        );
+        assert_eq!(
+            check_flags(&args(&["--quick", "extra"]), &accepted),
+            Err("unknown argument `extra`".to_string())
+        );
+        assert_eq!(
+            check_flags(&args(&["--seed"]), &accepted),
+            Err("--seed requires a value".to_string())
+        );
     }
 
     #[test]
     fn write_csv_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("dimetrodon_bench_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1".into()]);
-        write_csv("bench_selftest", &t);
-        let read = std::fs::read_to_string(results_dir().join("bench_selftest.csv")).unwrap();
+        write_csv_in(&dir, "bench_selftest", &t);
+        let read = fs::read_to_string(dir.join("bench_selftest.csv")).unwrap();
         assert_eq!(read, "a\n1\n");
-        let _ = std::fs::remove_file(results_dir().join("bench_selftest.csv"));
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

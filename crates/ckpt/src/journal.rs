@@ -209,7 +209,7 @@ mod tests {
         let dir = std::env::temp_dir()
             .join("dimetrodon_journal_tests")
             .join(format!("{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        drop(fs::remove_dir_all(&dir));
         dir.join("unit.journal")
     }
 

@@ -42,9 +42,6 @@
 //!   returns the newest one that *verifies*, so a torn or flipped tail
 //!   falls back instead of failing the restore.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -609,6 +606,10 @@ impl CheckpointStore {
     /// a file that cannot be deleted is left for the next prune.
     fn prune(&self) {
         for (_, path) in self.candidates().into_iter().skip(self.keep) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: a file that cannot be deleted is left for the next prune"
+            )]
             let _ = fs::remove_file(path);
         }
     }
@@ -620,7 +621,7 @@ mod tests {
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("dimetrodon_ckpt_tests").join(name);
-        let _ = fs::remove_dir_all(&dir);
+        drop(fs::remove_dir_all(&dir));
         fs::create_dir_all(&dir).unwrap();
         dir
     }

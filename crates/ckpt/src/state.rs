@@ -337,7 +337,7 @@ mod tests {
     fn a_checkpoint_saved_under_one_schema_is_never_decoded_under_another() {
         let dir =
             std::env::temp_dir().join(format!("dimetrodon_ckpt_schema_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(std::fs::remove_dir_all(&dir));
         let config = 0x00C0_FFEE;
         let old =
             crate::CheckpointStore::new(&dir, "point", schema_fold(config, v1::Point::SCHEMA), 2);

@@ -5,6 +5,11 @@
 //! the container — a bit flip or a truncation — is rejected with a typed
 //! error, never a panic or a silently wrong decode.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
+
 use dimetrodon_ckpt::{
     decode_checkpoint, encode_checkpoint, CkptError, CkptHeader, Dec, Enc, State,
 };

@@ -18,6 +18,7 @@ use crate::report::ScenarioError;
 /// Returns [`ScenarioError::Chaos`] when the chaos-plan file is missing,
 /// malformed, or names machines/racks outside the fleet.
 pub fn fleet_config(options: &Options) -> Result<FleetConfig, ScenarioError> {
+    #[expect(clippy::expect_used, reason = "only `--fleet` runs reach here")]
     let machines = options
         .fleet
         .expect("fleet_config is only called for --fleet runs");
@@ -141,8 +142,10 @@ pub fn run_fleet_scenario(options: &Options) -> Result<String, ScenarioError> {
                 let mut policy = kind.build(&config);
                 let mut fleet = Fleet::new(config.clone());
                 fleet.run(policy.as_mut());
-                // A non-empty plan implies collection, so the metrics
-                // are always present.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a non-empty plan implies collection, so the metrics are present"
+                )]
                 let metrics = fleet.chaos_metrics().expect("chaos plan implies metrics");
                 chaos_lines.push(chaos_line(kind.name(), &metrics));
                 FleetOutcome {

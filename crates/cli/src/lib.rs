@@ -14,9 +14,6 @@
 //! # Ok::<(), dimetrodon_cli::ParseArgsError>(())
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod args;
 mod fleet;
 mod report;

@@ -250,6 +250,10 @@ pub fn run_scenario(options: &Options) -> Result<Report, ScenarioError> {
     let observed_temp = system
         .observed_temp_over(window_start)
         .unwrap_or_else(|| system.machine().mean_sensor_temperature());
+    #[expect(
+        clippy::expect_used,
+        reason = "the run covers the window, so samples exist"
+    )]
     let physical_temp = system
         .mean_temp_series()
         .mean_over(window_start)
@@ -512,7 +516,7 @@ mod tests {
         assert!(report.cpu_executed > 5.0, "replay should burn CPU");
         let dump = report.trace_dump.as_ref().expect("trace requested");
         assert!(dump.contains("dispatch"));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -533,7 +537,7 @@ mod tests {
         let text = report.render();
         assert!(text.contains("thermal trips"));
         assert!(text.contains("sensor reads dropped"));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -558,7 +562,7 @@ mod tests {
         let mut options = quick_options(WorkloadChoice::CpuBurn);
         options.faults_path = Some(path.to_string_lossy().into_owned());
         assert!(matches!(run_scenario(&options), Err(ScenarioError::Faults(_))));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -613,9 +617,13 @@ mod tests {
         }
         for entry in std::fs::read_dir(dir).unwrap().filter_map(Result::ok) {
             if mine(&entry) {
-                let _ = std::fs::remove_file(entry.path());
+                std::fs::remove_file(entry.path()).unwrap();
             }
         }
+        // Leave no `results/` in the source tree; a directory that still
+        // holds other files is not empty and stays.
+        drop(std::fs::remove_dir(dir));
+        drop(std::fs::remove_dir("results"));
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! also recorded in `target/criterion-summary.json` (best-effort) so
 //! scripts can scrape machine-readable numbers.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "vendored shim: a bench harness reads the clock"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Prevents the compiler from optimising away a benchmark's result.

@@ -153,10 +153,12 @@ impl PolicyPlanner {
         let mut l = self.min_idle;
         loop {
             let l_over_q = l.as_secs_f64() / self.quantum.as_secs_f64();
-            let p = p_for_throughput_reduction(budget, l_over_q)
-                // simlint::allow(R1): budget is clamped into (0, 1) above,
-                // for which the closed form always has a solution.
-                .expect("budget < 1 always solvable");
+            #[expect(
+                clippy::expect_used,
+                reason = "budget is clamped into (0, 1) above, where a solution always exists"
+            )]
+            let p =
+                p_for_throughput_reduction(budget, l_over_q).expect("budget < 1 always solvable");
             if p <= self.max_p {
                 return Ok(InjectionParams::new(p, l));
             }

@@ -252,8 +252,10 @@ impl FleetFaultPlan {
         duration: Option<SimDuration>,
     ) -> Self {
         let event = FleetFaultEvent { at, target, kind, duration };
-        // simlint::allow(R1): literal-plan builder; programmatic callers
-        // use `push` and handle the error.
+        #[expect(
+            clippy::expect_used,
+            reason = "literal-plan builder; programmatic callers use `push` and handle the error"
+        )]
         self.push(event).expect("invalid fleet fault event");
         self
     }

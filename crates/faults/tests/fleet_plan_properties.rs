@@ -5,6 +5,11 @@
 //! truncation or corruption of a valid plan must be rejected rather than
 //! silently reinterpreted.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is a failed test"
+)]
+
 use dimetrodon_faults::{
     CrashBacklog, FleetFaultEvent, FleetFaultKind, FleetFaultPlan, FleetTarget,
 };

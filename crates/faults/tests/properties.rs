@@ -3,6 +3,11 @@
 //! an empty plan must be bit-identical to not having the fault layer at
 //! all.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is a failed test"
+)]
+
 use dimetrodon::{DimetrodonHook, PolicyHandle, SetpointController, TelemetryFilter};
 use dimetrodon_faults::{
     FaultEvent, FaultKind, FaultPlan, FaultTarget, FaultyHook, FaultyTelemetry, SensorSpec,

@@ -172,7 +172,10 @@ pub fn chaos_comparison_with(
         // the control row still reports availability.
         fleet.set_collect_chaos(true);
         fleet.run(&mut policy);
-        // simlint::allow(R1): set_collect_chaos(true) guarantees metrics.
+        #[expect(
+            clippy::expect_used,
+            reason = "set_collect_chaos(true) guarantees metrics"
+        )]
         let metrics = fleet.chaos_metrics().expect("chaos accounting was enabled");
         if let Some(journal) = journal {
             journal.append(index, &ChaosGrid::label(intensity, kind), &metrics);

@@ -35,13 +35,16 @@ pub struct FleetOutcome {
 /// consulting `journal` for replay/append when given; what the
 /// determinism tests drive so concurrent tests cannot flip each other's
 /// pool sizes.
+#[expect(
+    clippy::expect_used,
+    reason = "with `spec = None` no checkpoint I/O ever runs"
+)]
 pub fn fleet_comparison_with(
     workers: usize,
     config: &FleetConfig,
     journal: Option<&FleetJournal>,
 ) -> Vec<FleetOutcome> {
     fleet_comparison_checkpointed(workers, config, journal, None)
-        // simlint::allow(R1): with `spec = None` no checkpoint I/O ever runs
         .expect("infallible without a checkpoint spec")
 }
 

@@ -241,8 +241,10 @@ impl Fleet {
         // identical, and settling is the constructor's dominant cost.
         let prototype = {
             let built = Machine::new(config.machine.clone());
-            // simlint::allow(R1): a rejected machine config is a caller
-            // bug surfaced at construction, same contract as validate().
+            #[expect(
+                clippy::expect_used,
+                reason = "a rejected machine config is a caller bug, as in validate()"
+            )]
             let mut machine = built.expect("fleet machine config is valid");
             machine.settle_idle();
             machine

@@ -6,6 +6,11 @@
 //! recomputes the rest and reproduces the undamaged run's CSV byte for
 //! byte at every worker count.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is a failed test"
+)]
+
 use std::fs;
 use std::path::Path;
 

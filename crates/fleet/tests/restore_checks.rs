@@ -5,6 +5,11 @@
 //! `RoutePolicy::save_state` — and then edited at offsets found by walking
 //! the payload layout.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is a failed test"
+)]
+
 use dimetrodon_ckpt::{CkptError, Dec, Enc};
 use dimetrodon_fleet::{Fleet, FleetConfig, PolicyKind};
 

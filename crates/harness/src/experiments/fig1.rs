@@ -48,7 +48,7 @@ fn trace(actuation: Actuation, seed: u64) -> (PowerTrace, f64) {
         .collect();
     system.run_until_exited(&ids, SimTime::ZERO + WINDOW);
     system.run_until(SimTime::ZERO + WINDOW);
-    // simlint::allow(R1): the meter is attached a few lines up.
+    #[expect(clippy::expect_used, reason = "the meter is attached a few lines up")]
     let meter = system.power_meter().expect("attached");
     let samples = meter
         .series()

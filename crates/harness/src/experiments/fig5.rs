@@ -74,7 +74,7 @@ struct MixOutcome {
 
 
 fn run_mix(p: Option<f64>, scope: PolicyScope, config: RunConfig) -> MixOutcome {
-    // simlint::allow(R1): the Xeon preset is a static, always-valid config.
+    #[expect(clippy::expect_used, reason = "the Xeon preset is always valid")]
     let mut machine = Machine::new(MachineConfig::xeon_e5520()).expect("valid preset");
     machine.settle_idle();
     let idle_temp = machine.idle_temperature();
@@ -112,10 +112,9 @@ fn run_mix(p: Option<f64>, scope: PolicyScope, config: RunConfig) -> MixOutcome 
     system.run_until(SimTime::ZERO + warmup);
     cool_counter.reset();
     system.run_until(SimTime::ZERO + config.duration);
+    #[expect(clippy::expect_used, reason = "the run covers the measure window")]
     let tail_temp = system
         .observed_temp_over(SimTime::ZERO + (config.duration - config.measure_window))
-        // simlint::allow(R1): the run always covers the measure window, so
-        // dispatch samples exist; an empty window is a harness bug.
         .expect("samples exist");
     MixOutcome {
         tail_temp,
@@ -159,10 +158,12 @@ pub fn run_subset(config: RunConfig, sweep_p: &[f64]) -> Fig5Data {
     });
     let base = &outcomes[0];
     let base_rise = base.tail_temp - base.idle_temp;
+    #[expect(
+        clippy::expect_used,
+        reason = "the uninjected baseline always completes cool-process cycles in the window"
+    )]
     let base_cycle = base
         .cool_cycle_wall
-        // simlint::allow(R1): the uninjected baseline always completes
-        // cool-process cycles inside the run window.
         .expect("baseline cool process completed cycles");
 
     let points = grid

@@ -59,7 +59,7 @@ struct WebOutcome {
 }
 
 fn run_web(policy_params: Option<InjectionParams>, config: RunConfig) -> WebOutcome {
-    // simlint::allow(R1): the Xeon preset is a static, always-valid config.
+    #[expect(clippy::expect_used, reason = "the Xeon preset is always valid")]
     let mut machine = Machine::new(MachineConfig::xeon_e5520()).expect("valid preset");
     machine.settle_idle();
     let idle_temp = machine.idle_temperature();
@@ -72,10 +72,9 @@ fn run_web(policy_params: Option<InjectionParams>, config: RunConfig) -> WebOutc
     let mut rng = SimRng::new(config.seed ^ 0x3EB);
     let (_ids, qos) = spawn_web_workload(&mut system, WebConfig::paper_setup(), &mut rng);
     system.run_until(SimTime::ZERO + config.duration);
+    #[expect(clippy::expect_used, reason = "the run covers the measure window")]
     let tail_temp = system
         .observed_temp_over(SimTime::ZERO + (config.duration - config.measure_window))
-        // simlint::allow(R1): the run always covers the measure window, so
-        // dispatch samples exist; an empty window is a harness bug.
         .expect("samples exist");
     WebOutcome {
         tail_temp,

@@ -136,7 +136,10 @@ fn build_cell(
 ) -> (System, PolicyHandle) {
     let mut machine_config = MachineConfig::xeon_e5520();
     machine_config.thermal_trip = Some(ThermalTrip::prochot_at(CRITICAL_CELSIUS));
-    // simlint::allow(R1): a perturbed preset; invalid means a harness bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "a perturbed preset; an invalid one is a harness bug"
+    )]
     let mut machine = Machine::new(machine_config).expect("machine config is valid");
     machine.settle_idle();
 
@@ -172,12 +175,10 @@ fn build_cell(
 }
 
 /// The installed controller, whether or not a [`FaultyHook`] wraps it.
+#[expect(clippy::expect_used, reason = "build_cell installs a known hook shape")]
 fn controller_of(system: &System) -> &SetpointController {
     let hook = system.hook();
-    let direct = hook
-        .as_any()
-        // simlint::allow(R1): build_cell installs a known hook shape.
-        .expect("robustness hook exposes as_any");
+    let direct = hook.as_any().expect("robustness hook exposes as_any");
     if let Some(controller) = direct.downcast_ref::<SetpointController>() {
         return controller;
     }
@@ -185,7 +186,6 @@ fn controller_of(system: &System) -> &SetpointController {
         .downcast_ref::<FaultyHook>()
         .and_then(|faulty| faulty.inner().as_any())
         .and_then(|any| any.downcast_ref::<SetpointController>())
-        // simlint::allow(R1): same known shape, one level deeper.
         .expect("wrapped robustness hook is a SetpointController")
 }
 

@@ -150,11 +150,12 @@ pub fn run_workloads(
             .filter(|pt| pt.benefit <= r_max)
             .map(|pt| (pt.benefit, pt.cost))
             .collect();
-        let fit = fit_power_law(&fit_points)
-            // simlint::allow(R1): a failed fit means the sweep produced a
-            // degenerate frontier; fail loudly with the workload name
-            // rather than emit a half-empty table.
-            .unwrap_or_else(|e| panic!("fit failed for {name}: {e}"));
+        #[expect(
+            clippy::panic,
+            reason = "a failed fit means a degenerate frontier; fail loudly, naming the workload"
+        )]
+        let fit =
+            fit_power_law(&fit_points).unwrap_or_else(|e| panic!("fit failed for {name}: {e}"));
 
         rows.push(Table1Row {
             workload: name.clone(),

@@ -66,6 +66,10 @@ pub struct ThroughputValidation {
 }
 
 /// Measures one finite-cpuburn trial's wall time under `(p, L)`.
+#[expect(
+    clippy::expect_used,
+    reason = "run_until_exited success is asserted above, so wall_time is present"
+)]
 fn one_trial(p: f64, l_ms: u64, seed: u64) -> f64 {
     let (mut system, _policy) = build_system(
         Actuation::Injection {
@@ -80,8 +84,6 @@ fn one_trial(p: f64, l_ms: u64, seed: u64) -> f64 {
     system
         .thread_stats(id)
         .wall_time()
-        // simlint::allow(R1): run_until_exited success is asserted on the
-        // line above, so wall_time is present.
         .expect("exited")
         .as_secs_f64()
 }
@@ -195,7 +197,7 @@ fn energy_trial(p: f64, l_ms: u64, seed: u64) -> f64 {
     );
     let window = system.now();
     system.run_until(window); // flush machine advance to `now`
-    // simlint::allow(R1): the meter is attached earlier in this function.
+    #[expect(clippy::expect_used, reason = "the meter is attached above")]
     let dimetrodon_joules = system.power_meter().expect("attached").measured_joules();
 
     // Race-to-idle run over the same window length.
@@ -209,7 +211,7 @@ fn energy_trial(p: f64, l_ms: u64, seed: u64) -> f64 {
     let id = base.spawn(ThreadKind::User, Box::new(CpuBurn::finite(WORK)));
     base.run_until(window);
     assert!(base.has_exited(id), "race-to-idle must finish within the window");
-    // simlint::allow(R1): the meter is attached earlier in this function.
+    #[expect(clippy::expect_used, reason = "the meter is attached above")]
     let rti_joules = base.power_meter().expect("attached").measured_joules();
 
     dimetrodon_joules / rti_joules

@@ -35,9 +35,6 @@
 //! );
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod ckpt;
 pub mod experiments;
 mod runner;

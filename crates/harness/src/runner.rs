@@ -144,8 +144,10 @@ pub fn build_system_on(
     actuation: Actuation,
     seed: u64,
 ) -> (System, Option<PolicyHandle>) {
-    // simlint::allow(R1): every caller passes a preset or a perturbation of
-    // one; an invalid config is a harness bug worth a loud stop.
+    #[expect(
+        clippy::expect_used,
+        reason = "every caller passes a preset or a perturbation of one"
+    )]
     let mut machine = Machine::new(machine_config.clone()).expect("machine config is valid");
     machine.settle_idle();
     match actuation {
@@ -223,10 +225,9 @@ pub fn characterize_on(
 
     // The paper's temperature metric: coretemp reads taken by the
     // monitoring process, which land at scheduling boundaries.
+    #[expect(clippy::expect_used, reason = "the run covers the measure window")]
     let tail_temp = system
         .observed_temp_over(config.measure_from())
-        // simlint::allow(R1): the run always covers the measure window, so
-        // dispatch samples exist; an empty window is a harness bug.
         .expect("run produced dispatch samples");
     let executed: f64 = ids
         .iter()

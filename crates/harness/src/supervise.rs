@@ -55,9 +55,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
-// simlint::allow(D1): the supervisor is the one sanctioned wall-clock
-// consumer — deadlines and budgets gate *whether* a point runs, and no
-// reading ever flows into a result value.
 use std::time::Instant;
 
 use dimetrodon_ckpt::{fnv1a64, CkptError, Dec, Enc, Journal};
@@ -301,8 +298,10 @@ pub fn gc_journals(dir: &Path, keep: usize, active_fingerprints: &[u64]) -> usiz
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
-    // simlint::allow(D1): file mtimes order GC candidates only; no
-    // simulated result ever observes them.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "file mtimes order GC candidates only; no result ever observes them"
+    )]
     let mut journals: Vec<(std::time::SystemTime, PathBuf)> = entries
         .flatten()
         .filter_map(|entry| {
@@ -489,9 +488,10 @@ fn run_attempt(
                 .name(format!("sweep-watchdog-{index}-{attempt}"))
                 .spawn(move || {
                     let result = std::panic::catch_unwind(AssertUnwindSafe(run));
-                    // simlint::allow(R2): if the watchdog already gave up
-                    // on this attempt the receiver is gone and the result
-                    // is intentionally dropped with the thread.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "the watchdog may have given up and dropped the receiver"
+                    )]
                     let _ = tx.send(result);
                 });
             let handle = match spawned {
@@ -591,8 +591,10 @@ pub fn run_supervised(points: &[SweepPoint], config: &SupervisorConfig) -> Vec<P
         .journal_dir
         .as_ref()
         .map(|dir| SweepJournal::open(dir, sweep, config.resume));
-    // simlint::allow(D1): the budget clock gates whether points start; it
-    // never flows into results.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the budget clock gates whether points start; it never flows into results"
+    )]
     let start = Instant::now();
     parallel_map(points.len(), |index| {
         let point = &points[index];
@@ -706,6 +708,7 @@ mod tests {
         // In the binaries the default is on; under cfg(test) the linear
         // sleep would only slow deterministic retries down.
         assert!(!SupervisorConfig::default().backoff);
+        #[expect(clippy::disallowed_methods, reason = "asserts retries do not sleep")]
         let before = std::time::Instant::now();
         let config = SupervisorConfig {
             retries: 10,

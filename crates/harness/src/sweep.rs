@@ -94,6 +94,10 @@ where
 ///
 /// Panics if any invocation of `f` panics (the first panic is propagated,
 /// and no further indices are dispatched once one worker has panicked).
+#[expect(
+    clippy::expect_used,
+    reason = "the atomic work index hands every slot to exactly one worker"
+)]
 pub fn parallel_map_with<T, F>(workers: usize, count: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -168,8 +172,6 @@ where
 
     slots
         .into_iter()
-        // simlint::allow(R1): the atomic work index hands every slot to
-        // exactly one worker, and scope join guarantees all writes landed.
         .map(|slot| slot.expect("every sweep index is claimed exactly once"))
         .collect()
 }

@@ -15,6 +15,8 @@
 //!   itself) quarantines exactly the poisoned points and leaves every
 //!   healthy point's measurements untouched.
 
+#![allow(clippy::panic, reason = "test code: a panic is a failed test")]
+
 use std::path::PathBuf;
 use std::sync::Mutex;
 

@@ -168,9 +168,11 @@ impl PStateTable {
     }
 
     /// The slowest operating point.
+    #[expect(
+        clippy::expect_used,
+        reason = "the builder rejects empty tables, so a built table has a last entry"
+    )]
     pub fn slowest(&self) -> PState {
-        // simlint::allow(R1): the builder rejects empty tables, so a
-        // constructed PStateTable always has a last entry.
         *self.states.last().expect("table is non-empty")
     }
 

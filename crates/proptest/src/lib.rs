@@ -13,6 +13,11 @@
 //! reported but not shrunk. Generation is deterministic per test (seeded
 //! from the test name), so failures reproduce run-to-run.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "vendored shim: mirrors the f32 strategies"
+)]
+
 /// Test-runner configuration and failure plumbing.
 pub mod test_runner {
     /// Controls how many random cases each property runs.

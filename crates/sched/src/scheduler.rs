@@ -129,8 +129,10 @@ impl Scheduler for BsdScheduler {
     }
 
     fn enqueue(&mut self, id: ThreadId, _last_core: Option<CoreId>) {
-        // simlint::allow(R1): enqueueing a never-spawned thread is a System
-        // logic error; a should_panic test pins this contract.
+        #[expect(
+            clippy::expect_used,
+            reason = "enqueueing a never-spawned thread is a System logic error"
+        )]
         let entity = self.meta.get(&id).expect("enqueue of unknown thread");
         self.queues.entry(entity.band()).or_default().push_back(id);
         self.runnable += 1;
@@ -231,8 +233,10 @@ impl Scheduler for UleScheduler {
     }
 
     fn enqueue(&mut self, id: ThreadId, last_core: Option<CoreId>) {
-        // simlint::allow(R1): same spawn-before-enqueue contract as
-        // BsdScheduler; a System logic error, not a recoverable state.
+        #[expect(
+            clippy::expect_used,
+            reason = "the spawn-before-enqueue contract of BsdScheduler"
+        )]
         let kind = *self.kinds.get(&id).expect("enqueue of unknown thread");
         // Affinity: requeue where the thread last ran; otherwise round-
         // robin placement.

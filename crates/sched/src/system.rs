@@ -716,11 +716,12 @@ impl System {
     /// Begins (or continues) executing the thread's pending burst within
     /// the current slice.
     fn start_segment(&mut self, core: usize, tid: ThreadId, slice_end: SimTime, speed: f64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a dispatched thread always carries a pending burst"
+        )]
         let burst = self.threads[tid.0 as usize]
             .pending
-            // simlint::allow(R1): a dispatched thread always carries a
-            // pending burst (make_runnable is only called with one); the
-            // token mechanism keeps stale events from reaching here.
             .expect("running thread has a pending burst");
         self.machine
             .set_core_state(CoreId(core), PowerCoreState::active(burst.activity));
@@ -768,8 +769,7 @@ impl System {
         let ran = self.now - segment_start;
         let progress = ran.mul_f64(speed);
         let ts = &mut self.threads[thread.0 as usize];
-        // simlint::allow(R1): Running state implies a pending burst; see
-        // start_segment.
+        #[expect(clippy::expect_used, reason = "Running implies a pending burst")]
         let burst = ts.pending.expect("running thread has a burst");
         let remaining = burst.cpu_time.saturating_sub(progress);
         ts.stats.cpu_executed += burst.cpu_time - remaining;
@@ -798,8 +798,7 @@ impl System {
         };
         let ran = self.now - segment_start;
         let ts = &mut self.threads[thread.0 as usize];
-        // simlint::allow(R1): Running state implies a pending burst; see
-        // start_segment.
+        #[expect(clippy::expect_used, reason = "Running implies a pending burst")]
         let burst = ts.pending.take().expect("running thread has a burst");
         ts.stats.cpu_executed += burst.cpu_time;
         ts.stats.bursts_completed += 1;

@@ -1,6 +1,6 @@
 //! Runtime invariant checking behind the `invariants` Cargo feature.
 //!
-//! The static pass (`simlint`) keeps nondeterminism out of the sources;
+//! The determinism lints (DESIGN.md §8.1) keep nondeterminism out of the sources;
 //! this layer checks the *dynamic* contracts the paper's argument rests on
 //! — monotone event time, finite bounded temperatures, conserved energy
 //! accounting — at simulation time. The checks are read-only observations,

@@ -241,12 +241,14 @@ impl Sub<SimTime> for SimTime {
     ///
     /// Panics if `rhs` is later than `self`; use
     /// [`SimTime::saturating_since`] when ordering is uncertain.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; saturating_since is the non-panicking alternative"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint::allow(R1): documented panic; saturating_since is
-                // the non-panicking alternative.
                 .expect("SimTime subtraction underflow"),
         )
     }
@@ -254,13 +256,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "rewinding time before the epoch is a logic error worth a loud stop"
+    )]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                // simlint::allow(R1): underflow here means the caller
-                // rewound time before the epoch — a logic error worth a
-                // loud stop, matching EventQueue's past-scheduling panic.
                 .expect("SimTime - SimDuration underflow"),
         )
     }
@@ -285,12 +288,14 @@ impl Sub for SimDuration {
     ///
     /// Panics on underflow; use [`SimDuration::saturating_sub`] when the
     /// ordering is uncertain.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; saturating_sub is the non-panicking alternative"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint::allow(R1): documented panic; saturating_sub is
-                // the non-panicking alternative.
                 .expect("SimDuration subtraction underflow"),
         )
     }

@@ -39,14 +39,14 @@
 //! # }
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert exact, deterministic values"))]
 
 mod linalg;
 mod network;
 mod response;
 mod rk4;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[expect(unsafe_code, reason = "the AVX2 kernel, the workspace's only unsafe code")]
 pub mod simd;
 
 pub use network::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder};

@@ -61,9 +61,8 @@ impl Matrix {
             }
             for row in (col + 1)..n {
                 let factor = a[row * n + col] / pivot;
-                // simlint::allow(D4): exact zero-skip on purpose — this is a
-                // no-op fast path, and any nonzero factor (however tiny)
-                // must still be eliminated for correctness.
+                // Exact zero-skip on purpose: a no-op fast path, while any nonzero
+                // factor (however tiny) must still be eliminated for correctness.
                 if factor == 0.0 {
                     continue;
                 }

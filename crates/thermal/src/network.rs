@@ -299,9 +299,9 @@ impl ThermalNetworkBuilder {
         for i in 0..n {
             for j in 0..n {
                 let g = conductance[i * n + j];
-                // simlint::allow(D4): exact zero-skip on purpose — only
-                // entries whose product is exactly ±0.0 are dropped, which
-                // keeps the packed sum bit-identical to the dense walk.
+                // Exact zero-skip on purpose: only entries whose product is exactly
+                // ±0.0 are dropped, which keeps the packed sum bit-identical to the
+                // dense walk.
                 if g != 0.0 {
                     cols.push(j as u32);
                     vals.push(g);
@@ -583,6 +583,10 @@ impl ThermalNetwork {
     /// scratch buffer. Full-length substeps use the decay factors
     /// precomputed in the topology; irregular remainders fall back to a
     /// per-network cache keyed by the substep length.
+    #[expect(
+        clippy::float_cmp,
+        reason = "step lengths are cache keys: only an exact match may reuse decay factors"
+    )]
     fn substep(&mut self, dt_s: f64) {
         let n = self.temperatures.len();
         let full_step = dt_s == self.topo.max_substep_s;
@@ -630,6 +634,10 @@ impl ThermalNetwork {
     /// Panics if the conductance matrix is singular, which
     /// [`ThermalNetworkBuilder::build`] makes impossible (every node is
     /// grounded to ambient).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: a grounded network's matrix is non-singular"
+    )]
     pub fn steady_state(&self) -> Vec<f64> {
         let topo = &*self.topo;
         let rhs: Vec<f64> = self
@@ -640,9 +648,6 @@ impl ThermalNetwork {
             .collect();
         topo.steady_matrix
             .solve(&rhs)
-            // simlint::allow(R1): documented panic — the builder grounds
-            // every node to ambient, making the matrix diagonally dominant
-            // and therefore non-singular.
             .expect("grounded thermal network has a non-singular conductance matrix")
     }
 

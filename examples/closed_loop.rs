@@ -11,6 +11,11 @@
 //! cargo run --release --example closed_loop
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "example code: a broken invariant should stop it loudly"
+)]
+
 use dimetrodon_repro::machine::{Machine, MachineConfig};
 use dimetrodon_repro::policy::{DimetrodonHook, PolicyHandle, SetpointController};
 use dimetrodon_repro::sched::{System, ThreadKind};

@@ -9,6 +9,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "example code: a broken invariant should stop it loudly"
+)]
+
 use dimetrodon_repro::machine::{Machine, MachineConfig};
 use dimetrodon_repro::policy::{DimetrodonHook, InjectionParams, PolicyHandle};
 use dimetrodon_repro::sched::{System, ThreadKind};

@@ -38,8 +38,6 @@
 //! # }
 //! ```
 
-#![warn(missing_docs)]
-
 pub use dimetrodon as policy;
 pub use dimetrodon_analysis as analysis;
 pub use dimetrodon_faults as faults;

@@ -2,6 +2,8 @@
 //! scheduler, machine, thermal, workloads, analysis — through the public
 //! API of the umbrella crate, the way a downstream user would.
 
+#![allow(clippy::float_cmp, reason = "tests assert exact, deterministic values")]
+
 use dimetrodon_repro::analysis::{fit_power_law, pareto_frontier, TradeoffPoint};
 use dimetrodon_repro::harness::{characterize, Actuation, RunConfig, SaturatingWorkload};
 use dimetrodon_repro::machine::{CoreId, Machine, MachineConfig};

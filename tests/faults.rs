@@ -3,6 +3,11 @@
 //! degraded telemetry on the controller, scheduler-side faults on the
 //! hook path, and the reactive thermal trip as the safety net.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is a failed test"
+)]
+
 use dimetrodon_repro::faults::{
     FaultEvent, FaultKind, FaultPlan, FaultTarget, FaultyHook, FaultyTelemetry, SensorSpec,
 };

@@ -2,6 +2,11 @@
 //! policies must never break conservation laws, determinism, or the
 //! physical envelope.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is a failed test"
+)]
+
 use dimetrodon_repro::machine::{CoreId, Machine, MachineConfig};
 use dimetrodon_repro::policy::{DimetrodonHook, InjectionParams, PolicyHandle};
 use dimetrodon_repro::sched::{

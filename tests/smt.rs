@@ -3,6 +3,11 @@
 //! with the [`SmtCoScheduler`] the idle quanta are co-scheduled across
 //! siblings and deep-idle cooling survives SMT.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a failed expect is a failed test"
+)]
+
 use dimetrodon_repro::machine::{Machine, MachineConfig};
 use dimetrodon_repro::policy::{
     DimetrodonHook, InjectionParams, PolicyHandle, SmtCoScheduler,
