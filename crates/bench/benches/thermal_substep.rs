@@ -1,12 +1,15 @@
-//! Micro-benchmark of the thermal substep kernel itself, isolated from
+//! Micro-benchmark of the thermal substep loop itself, isolated from
 //! sweep orchestration: a small network shaped like the calibrated
 //! platform (10 nodes) and a large synthetic one (128 nodes), each
-//! advanced through many substeps. With `--features simd` the scalar and
-//! AVX2 kernels are measured side by side (via the runtime-dispatch
-//! override), so a kernel regression is visible independently of the
-//! sweep engine's pool.
+//! advanced through many substeps in two patterns — whole substeps, as a
+//! fleet epoch takes them, and event-driven intervals with recurring
+//! remainders, as the Figure 3 grid makes them. With `--features simd`
+//! the scalar and AVX2 kernels are measured side by side (via the
+//! runtime-dispatch override), so a kernel regression is visible
+//! independently of the sweep engine's pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dimetrodon_sim_core::SimDuration;
 use dimetrodon_thermal::{ThermalNetwork, ThermalNetworkBuilder};
 
 /// A chain-of-blocks network with `n` nodes: node 0 touches ambient,
@@ -41,25 +44,51 @@ fn advance_substeps(network: &mut ThermalNetwork) {
     }
 }
 
+/// Full substeps per event-path advance: 48 over a cycle of eight, so
+/// six on average, close to the Figure 3 grid's mean.
+const EVENT_WHOLE: [u64; 8] = [3, 9, 5, 7, 6, 4, 8, 6];
+/// The recurring remainders, as fractions of a substep.
+const EVENT_REMAINDERS: [f64; 4] = [0.21, 0.64, 0.37, 0.9];
+
+/// Advances by 64 event-driven intervals, each a few full substeps plus
+/// one of four recurring remainders: 448 substeps, 64 of them remainders.
+fn advance_events(network: &mut ThermalNetwork) {
+    let step = network.max_substep().as_nanos();
+    for i in 0..64 {
+        let whole = EVENT_WHOLE[i % EVENT_WHOLE.len()];
+        let fraction = EVENT_REMAINDERS[i % EVENT_REMAINDERS.len()];
+        let remainder = (step as f64 * fraction) as u64;
+        network.advance(SimDuration::from_nanos(whole * step + remainder));
+    }
+}
+
 fn bench_substep(c: &mut Criterion) {
+    let patterns = [
+        ("", advance_substeps as fn(&mut ThermalNetwork)),
+        ("_events", advance_events),
+    ];
     for (label, n) in [("small_n10", 10), ("large_n128", 128)] {
         let mut group = c.benchmark_group(format!("thermal_substep_{label}"));
+        // One call per sample: enough samples to average out a preempted one.
+        group.sample_size(200);
 
-        group.bench_function("scalar", |b| {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            dimetrodon_thermal::simd::force_scalar(true);
-            let mut network = network(n);
-            b.iter(|| advance_substeps(&mut network));
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            dimetrodon_thermal::simd::force_scalar(false);
-        });
-
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if dimetrodon_thermal::simd::avx2_active() {
-            group.bench_function("simd", |b| {
+        for (suffix, advance) in patterns {
+            group.bench_function(&format!("scalar{suffix}"), |b| {
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                dimetrodon_thermal::simd::force_scalar(true);
                 let mut network = network(n);
-                b.iter(|| advance_substeps(&mut network));
+                b.iter(|| advance(&mut network));
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                dimetrodon_thermal::simd::force_scalar(false);
             });
+
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            if dimetrodon_thermal::simd::avx2_active() {
+                group.bench_function(&format!("simd{suffix}"), |b| {
+                    let mut network = network(n);
+                    b.iter(|| advance(&mut network));
+                });
+            }
         }
 
         group.finish();

@@ -106,13 +106,24 @@ impl RunOutcome {
         self.tail_temp - self.idle_temp
     }
 
+    /// Whether this is the supervisor's placeholder for a point that
+    /// produced no measurement (`supervise::unavailable_outcome`).
+    fn is_unavailable(&self) -> bool {
+        self.idle_temp.is_nan() || self.tail_temp.is_nan()
+    }
+
     /// The paper's relative temperature reduction versus an unconstrained
     /// run: `(T_unconstrained − T_this) / (T_unconstrained − T_idle)`.
+    /// NaN, like the rest of a missing point, when either run is the
+    /// supervisor's placeholder for a point that produced no measurement.
     ///
     /// # Panics
     ///
-    /// Panics if the unconstrained run is not hotter than idle.
+    /// Panics if a measured unconstrained run is not hotter than idle.
     pub fn temp_reduction_vs(&self, unconstrained: &RunOutcome) -> f64 {
+        if self.is_unavailable() || unconstrained.is_unavailable() {
+            return f64::NAN;
+        }
         let denom = unconstrained.tail_temp - unconstrained.idle_temp;
         assert!(
             denom > 0.0,
@@ -121,8 +132,12 @@ impl RunOutcome {
         (unconstrained.tail_temp - self.tail_temp) / denom
     }
 
-    /// Throughput reduction versus an unconstrained run, in `[0, 1]`.
+    /// Throughput reduction versus an unconstrained run, in `[0, 1]`; NaN
+    /// when either run is the supervisor's placeholder.
     pub fn throughput_reduction_vs(&self, unconstrained: &RunOutcome) -> f64 {
+        if self.is_unavailable() || unconstrained.is_unavailable() {
+            return f64::NAN;
+        }
         if unconstrained.throughput <= 0.0 {
             return 0.0;
         }
@@ -276,6 +291,40 @@ mod tests {
             measure_window: SimDuration::from_secs(15),
             seed: 1,
         }
+    }
+
+    /// A measured outcome with the given temperatures and throughput.
+    fn measured(idle_temp: f64, tail_temp: f64, throughput: f64) -> RunOutcome {
+        RunOutcome {
+            idle_temp,
+            tail_temp,
+            throughput,
+            temp_series: TimeSeries::new("measured"),
+            observed_curve: Vec::new(),
+            injected_idles: 0,
+        }
+    }
+
+    #[test]
+    fn a_placeholder_on_either_side_yields_nan() {
+        let base = measured(40.0, 60.0, 1.0);
+        let point = measured(40.0, 55.0, 0.9);
+        let missing = crate::supervise::unavailable_outcome();
+        assert!(!base.is_unavailable() && !point.is_unavailable());
+        assert!(missing.is_unavailable());
+        for (run, baseline) in [(&point, &missing), (&missing, &base), (&missing, &missing)] {
+            assert!(run.temp_reduction_vs(baseline).is_nan());
+            assert!(run.throughput_reduction_vs(baseline).is_nan());
+        }
+        assert!((point.temp_reduction_vs(&base) - 0.25).abs() < 1e-12);
+        assert!((point.throughput_reduction_vs(&base) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "unconstrained run must rise above idle")]
+    fn a_measured_baseline_that_does_not_rise_still_panics() {
+        let flat = measured(40.0, 40.0, 1.0);
+        measured(40.0, 39.0, 0.9).temp_reduction_vs(&flat);
     }
 
     #[test]

@@ -48,6 +48,8 @@ mod rk4;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[expect(unsafe_code, reason = "the AVX2 kernel, the workspace's only unsafe code")]
 pub mod simd;
+#[cfg(test)]
+mod test_support;
 
 pub use network::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder};
 pub use response::{cooling_drop, cooling_efficiency, step_response};

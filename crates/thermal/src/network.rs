@@ -124,8 +124,6 @@ pub(crate) struct Topology {
     pub(crate) total_conductance: Vec<f64>,
     pub(crate) ambient_celsius: f64,
     pub(crate) max_substep: SimDuration,
-    /// `max_substep` in seconds, exactly as `advance` will pass it down.
-    pub(crate) max_substep_s: f64,
     /// Per-node decay factors for a full-length substep, precomputed once;
     /// nearly every substep is `max_substep` long.
     pub(crate) decay_max: Vec<f64>,
@@ -335,11 +333,13 @@ impl ThermalNetworkBuilder {
         // The shortest local time constant bounds the internal substep.
         // Exponential Euler is unconditionally stable and exact per node;
         // a quarter of the fastest time constant keeps the coupling error
-        // negligible at the temperatures we care about.
+        // negligible at the temperatures we care about. At least 1 ns, so
+        // `advance` always makes progress.
         let min_tau = (0..n)
             .map(|i| self.capacitances[i] / total_conductance[i])
             .fold(f64::INFINITY, f64::min);
-        let max_substep = SimDuration::from_secs_f64(min_tau / 4.0);
+        let max_substep =
+            SimDuration::from_secs_f64(min_tau / 4.0).max(SimDuration::from_nanos(1));
         let max_substep_s = max_substep.as_secs_f64();
         let decay_max: Vec<f64> = (0..n)
             .map(|i| (-total_conductance[i] * max_substep_s / self.capacitances[i]).exp())
@@ -366,7 +366,6 @@ impl ThermalNetworkBuilder {
             total_conductance,
             ambient_celsius: self.ambient_celsius,
             max_substep,
-            max_substep_s,
             decay_max,
             steady_matrix,
             ell_slots,
@@ -379,8 +378,7 @@ impl ThermalNetworkBuilder {
             powers: vec![0.0; n],
             boundary_celsius: self.ambient_celsius,
             scratch: vec![self.ambient_celsius; n],
-            decay: vec![0.0; n],
-            decay_dt_s: f64::NAN,
+            decay_cache: DecayCache::default(),
         })
     }
 }
@@ -408,31 +406,79 @@ pub struct ThermalNetwork {
     /// builder's ambient and may be moved between steps — the rack model's
     /// coupling knob. Observable state: checkpointed and compared.
     boundary_celsius: f64,
-    /// Integrator workspace: the previous substep's temperatures, fully
-    /// overwritten before every use.
+    /// Integrator workspace: the substep loop alternates between this and
+    /// `temperatures`, and every substep fully overwrites the one it writes.
     scratch: Vec<f64>,
-    /// Per-node decay factors for an *irregular* substep of `decay_dt_s`
-    /// seconds (a remainder shorter than `max_substep`); the common
-    /// full-length factors live precomputed in the topology. A pure
-    /// cache keyed by `decay_dt_s`, never by temperatures or powers, so
-    /// loading a checkpoint mid-flight cannot stale it.
-    decay: Vec<f64>,
-    /// Cache key for `decay`; not observable state.
-    decay_dt_s: f64,
+    /// Decay factors for the irregular remainder substeps; the common
+    /// full-length factors live precomputed in the topology.
+    decay_cache: DecayCache,
 }
 
 dimetrodon_ckpt::state! {
     ThermalNetwork {
         persisted: temperatures, powers, boundary_celsius;
-        derived: topo, scratch, decay, decay_dt_s;
+        derived: topo, scratch, decay_cache;
         check: ThermalNetwork::check_restored;
+    }
+}
+
+/// Remainder lengths whose decay factors one network keeps.
+const DECAY_CACHE_SLOTS: usize = 8;
+
+/// Per-node decay factors for remainder substeps (shorter than
+/// `max_substep`), keyed by the remainder's length in nanoseconds and kept
+/// most recently used first; a miss evicts the least recently used entry.
+///
+/// Each entry is a pure function of its key and the topology, never of
+/// temperatures or powers, so loading a checkpoint mid-flight cannot stale
+/// it. The factor table is allocated on the first miss: a network that has
+/// never advanced by a remainder, such as a settled prototype being
+/// cloned, carries no allocation for it.
+#[derive(Debug, Clone, Default)]
+struct DecayCache {
+    /// `(remainder ns, slot)` of the `len` live entries, most recent first.
+    order: [(u64, usize); DECAY_CACHE_SLOTS],
+    len: usize,
+    /// Slot `s`'s factors, one per node, at `s * n..(s + 1) * n`.
+    factors: Vec<f64>,
+}
+
+impl DecayCache {
+    /// The factors for a remainder of `rem_ns` nanoseconds, computed into
+    /// a free or the least recently used slot on a miss.
+    fn factors(&mut self, topo: &Topology, rem_ns: u64) -> &[f64] {
+        let n = topo.names.len();
+        match self.order[..self.len].iter().position(|&(key, _)| key == rem_ns) {
+            Some(hit) => self.order[..=hit].rotate_right(1),
+            None => {
+                if self.len < DECAY_CACHE_SLOTS {
+                    self.order[self.len].1 = self.len;
+                    self.len += 1;
+                    self.factors.resize(self.len * n, 0.0);
+                }
+                self.order[..self.len].rotate_right(1);
+                self.order[0].0 = rem_ns;
+                let slot = self.order[0].1;
+                let dt_s = SimDuration::from_nanos(rem_ns).as_secs_f64();
+                let factors = &mut self.factors[slot * n..(slot + 1) * n];
+                for ((f, &g), &c) in factors
+                    .iter_mut()
+                    .zip(&topo.total_conductance)
+                    .zip(&topo.capacitances)
+                {
+                    *f = (-g * dt_s / c).exp();
+                }
+            }
+        }
+        let slot = self.order[0].1;
+        &self.factors[slot * n..(slot + 1) * n]
     }
 }
 
 impl PartialEq for ThermalNetwork {
     fn eq(&self, other: &Self) -> bool {
-        // The integrator workspace (`scratch`, `decay`, `decay_dt_s`) is
-        // not part of the network's observable state. Topologies compare
+        // The integrator workspace (`scratch`, `decay_cache`) is not part
+        // of the network's observable state. Topologies compare
         // by value, so independently built identical networks are equal.
         (Arc::ptr_eq(&self.topo, &other.topo) || self.topo == other.topo)
             && self.temperatures == other.temperatures
@@ -540,7 +586,9 @@ impl ThermalNetwork {
     /// Advances the network by `dt` under the currently set powers.
     ///
     /// Internally sub-steps at a quarter of the fastest local time constant
-    /// so accuracy does not depend on the caller's event granularity.
+    /// so accuracy does not depend on the caller's event granularity: `k`
+    /// full substeps, then one for the remainder, split in integer
+    /// nanoseconds (DESIGN.md §11.1).
     pub fn advance(&mut self, dt: SimDuration) {
         if dt.is_zero() {
             return;
@@ -560,11 +608,25 @@ impl ThermalNetwork {
         } else {
             f64::NEG_INFINITY
         };
-        let mut remaining = dt;
-        while !remaining.is_zero() {
-            let step = remaining.min(self.topo.max_substep);
-            self.substep(step.as_secs_f64());
-            remaining = remaining.saturating_sub(step);
+        let max_ns = self.topo.max_substep.as_nanos();
+        let (full, rem_ns) = (dt.as_nanos() / max_ns, dt.as_nanos() % max_ns);
+        let topo = &*self.topo;
+        let n = topo.names.len();
+        let kernel = Kernel::new(topo, &self.powers, self.boundary_celsius);
+        let decay_max = &topo.decay_max[..n];
+        // Each substep reads one buffer and overwrites the other.
+        let (mut old, mut new) = (&mut self.temperatures[..n], &mut self.scratch[..n]);
+        for _ in 0..full {
+            kernel.substep(decay_max, old, new);
+            std::mem::swap(&mut old, &mut new);
+        }
+        if rem_ns != 0 {
+            let decay = self.decay_cache.factors(topo, rem_ns);
+            kernel.substep(&decay[..n], old, new);
+        }
+        // After an odd number of substeps the result sits in `scratch`.
+        if (full + u64::from(rem_ns != 0)) % 2 == 1 {
+            std::mem::swap(&mut self.temperatures, &mut self.scratch);
         }
         if cfg!(feature = "invariants") {
             for (i, &t) in self.temperatures.iter().enumerate() {
@@ -575,42 +637,6 @@ impl ThermalNetwork {
                 );
             }
         }
-    }
-
-    /// One exponential-Euler substep of `dt_s` seconds.
-    ///
-    /// Allocation-free: the previous temperatures live in a swapped
-    /// scratch buffer. Full-length substeps use the decay factors
-    /// precomputed in the topology; irregular remainders fall back to a
-    /// per-network cache keyed by the substep length.
-    #[expect(
-        clippy::float_cmp,
-        reason = "step lengths are cache keys: only an exact match may reuse decay factors"
-    )]
-    fn substep(&mut self, dt_s: f64) {
-        let n = self.temperatures.len();
-        let full_step = dt_s == self.topo.max_substep_s;
-        if !full_step && dt_s != self.decay_dt_s {
-            for i in 0..n {
-                self.decay[i] =
-                    (-self.topo.total_conductance[i] * dt_s / self.topo.capacitances[i]).exp();
-            }
-            self.decay_dt_s = dt_s;
-        }
-        std::mem::swap(&mut self.temperatures, &mut self.scratch);
-        let topo = &*self.topo;
-        let decay: &[f64] = if full_step { &topo.decay_max } else { &self.decay };
-        let old: &[f64] = &self.scratch;
-        let new: &mut [f64] = &mut self.temperatures;
-
-        let boundary = self.boundary_celsius;
-
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::simd::substep_vector(topo, boundary, old, &self.powers, decay, new) {
-            return;
-        }
-
-        scalar_substep(topo, boundary, old, &self.powers, decay, new);
     }
 
     /// Total power currently injected across all nodes, in watts.
@@ -731,37 +757,126 @@ impl ThermalNetwork {
     }
 }
 
-/// The packed-row scalar kernel: one exponential-Euler substep over CSR.
-///
-/// Accumulates each row's neighbour products left to right, exactly as the
-/// historical dense walk did minus its `±0.0` products, so results are
-/// bit-identical for physical temperatures. Shared by the default build and
-/// the SIMD build's fallback/remainder paths.
-pub(crate) fn scalar_substep(
-    topo: &Topology,
+/// What one exponential-Euler substep reads besides the temperatures and
+/// decay factors, each array sliced to the node count once per `advance`.
+struct Kernel<'a> {
+    /// CSR row offsets, `n + 1` of them.
+    offsets: &'a [u32],
+    cols: &'a [u32],
+    vals: &'a [f64],
+    ambient: &'a [f64],
+    total: &'a [f64],
+    powers: &'a [f64],
     boundary: f64,
-    old: &[f64],
-    powers: &[f64],
-    decay: &[f64],
-    new: &mut [f64],
-) {
-    for (i, out) in new.iter_mut().enumerate() {
-        let g_tot = topo.total_conductance[i];
-        let mut neighbour_heat = 0.0;
-        for k in topo.row_offsets[i] as usize..topo.row_offsets[i + 1] as usize {
-            neighbour_heat += topo.vals[k] * old[topo.cols[k] as usize];
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    topo: &'a Topology,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(topo: &'a Topology, powers: &'a [f64], boundary: f64) -> Self {
+        let n = topo.names.len();
+        Kernel {
+            offsets: &topo.row_offsets[..=n],
+            cols: &topo.cols,
+            vals: &topo.vals,
+            ambient: &topo.ambient_conductance[..n],
+            total: &topo.total_conductance[..n],
+            powers: &powers[..n],
+            boundary,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            topo,
         }
-        let neighbour_heat = neighbour_heat + topo.ambient_conductance[i] * boundary;
-        let t_eq = (powers[i] + neighbour_heat) / g_tot;
-        *out = t_eq + (old[i] - t_eq) * decay[i];
+    }
+
+    /// One substep from `old` into `new` with per-node `decay` factors.
+    ///
+    /// Accumulates each row's neighbour products left to right, exactly as
+    /// the historical dense walk did minus its `±0.0` products, so results
+    /// are bit-identical for physical temperatures. Under the `simd`
+    /// feature the AVX2 kernel takes the substep when the CPU has it.
+    #[inline(always)]
+    fn substep(&self, decay: &[f64], old: &[f64], new: &mut [f64]) {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if crate::simd::substep_vector(self.topo, self.boundary, old, self.powers, decay, new) {
+            return;
+        }
+        let n = self.total.len();
+        let (decay, old, new) = (&decay[..n], &old[..n], &mut new[..n]);
+        for i in 0..n {
+            let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+            let mut neighbour_heat = 0.0;
+            for (&g, &j) in self.vals[lo..hi].iter().zip(&self.cols[lo..hi]) {
+                neighbour_heat += g * old[j as usize];
+            }
+            let neighbour_heat = neighbour_heat + self.ambient[i] * self.boundary;
+            let t_eq = (self.powers[i] + neighbour_heat) / self.total[i];
+            new[i] = t_eq + (old[i] - t_eq) * decay[i];
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::random_network;
     use dimetrodon_ckpt::State;
     use proptest::prelude::*;
+
+    /// The historical `advance` loop, kept as the oracle for the hoisted
+    /// one: one `remaining.min(max_substep)` slice at a time, each a
+    /// separately dispatched substep whose decay factors are chosen by its
+    /// length in seconds (computed afresh for any irregular length).
+    fn reference_advance(net: &mut ThermalNetwork, dt: SimDuration) {
+        let topo = Arc::clone(&net.topo);
+        let n = net.node_count();
+        let mut remaining = dt;
+        while !remaining.is_zero() {
+            let step = remaining.min(topo.max_substep);
+            let dt_s = step.as_secs_f64();
+            let decay: Vec<f64> = if dt_s == topo.max_substep.as_secs_f64() {
+                topo.decay_max.clone()
+            } else {
+                (0..n)
+                    .map(|i| (-topo.total_conductance[i] * dt_s / topo.capacitances[i]).exp())
+                    .collect()
+            };
+            let old = net.temperatures.clone();
+            reference_substep(
+                &topo,
+                net.boundary_celsius,
+                &old,
+                &net.powers,
+                &decay,
+                &mut net.temperatures,
+            );
+            remaining = remaining.saturating_sub(step);
+        }
+    }
+
+    /// The historical per-substep kernel dispatch and scalar CSR walk.
+    fn reference_substep(
+        topo: &Topology,
+        boundary: f64,
+        old: &[f64],
+        powers: &[f64],
+        decay: &[f64],
+        new: &mut [f64],
+    ) {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if crate::simd::substep_vector(topo, boundary, old, powers, decay, new) {
+            return;
+        }
+        for (i, out) in new.iter_mut().enumerate() {
+            let g_tot = topo.total_conductance[i];
+            let mut neighbour_heat = 0.0;
+            for k in topo.row_offsets[i] as usize..topo.row_offsets[i + 1] as usize {
+                neighbour_heat += topo.vals[k] * old[topo.cols[k] as usize];
+            }
+            let neighbour_heat = neighbour_heat + topo.ambient_conductance[i] * boundary;
+            let t_eq = (powers[i] + neighbour_heat) / g_tot;
+            *out = t_eq + (old[i] - t_eq) * decay[i];
+        }
+    }
 
     /// Under the `invariants` feature, advance() checks its physical
     /// envelope (finite temperatures, no dips below the pre-step floor)
@@ -1158,7 +1273,13 @@ mod tests {
         let (mut warm, die, _) = two_pole();
         warm.set_power(die, 40.0);
         let base = warm.clone();
-        let durations = [0.017, 0.003, 0.017, 0.0501, 0.003];
+        // two_pole's substep is 62.5 ms. Thirteen distinct remainders
+        // overflow the eight-entry cache, and the last two revisit lengths
+        // it has evicted by then.
+        let durations = [
+            0.017, 0.003, 0.017, 0.0501, 0.003, 0.0011, 0.0023, 0.0037, 0.0041, 0.0059, 0.0067,
+            0.0071, 0.0083, 0.1, 0.2003, 0.017, 0.0501,
+        ];
         let mut elapsed = Vec::new();
         for &secs in &durations {
             elapsed.push(secs);
@@ -1171,6 +1292,77 @@ mod tests {
             }
             for (a, b) in warm.temperatures().iter().zip(cold.temperatures()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "after {elapsed:?}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn decay_cache_keeps_the_eight_most_recent_remainders() {
+        let (mut net, die, _) = two_pole();
+        net.set_power(die, 40.0);
+        net.settle();
+        // A settled network that never advanced by a remainder carries no
+        // factor table, and neither do its clones.
+        assert_eq!(net.clone().decay_cache.factors.capacity(), 0);
+        let keys = |net: &ThermalNetwork| -> Vec<u64> {
+            let cache = &net.decay_cache;
+            cache.order[..cache.len].iter().map(|&(key, _)| key).collect()
+        };
+        let ms = |ms: u64| SimDuration::from_millis(ms).as_nanos();
+        for l in 1..=10 {
+            net.advance(SimDuration::from_millis(l));
+        }
+        assert_eq!(keys(&net), (3..=10).rev().map(ms).collect::<Vec<_>>());
+        assert_eq!(net.decay_cache.factors.len(), DECAY_CACHE_SLOTS * net.node_count());
+        // A hit moves to the front; a whole substep leaves the cache alone.
+        net.advance(SimDuration::from_millis(5));
+        net.advance(net.max_substep());
+        assert_eq!(keys(&net), [5, 10, 9, 8, 7, 6, 4, 3].map(ms));
+        // A miss takes the least recently used slot.
+        net.advance(SimDuration::from_millis(2));
+        assert_eq!(keys(&net), [2, 5, 10, 9, 8, 7, 6, 4].map(ms));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The hoisted loop lands on the historical loop's bits after every
+        /// advance: random grounded networks of 1–24 nodes (a lone node
+        /// with an empty CSR row included), random powers and boundary, and
+        /// advances that mix whole substeps, bare remainders and both, over
+        /// twelve distinct remainders — more than the cache holds, so
+        /// evicted lengths come back.
+        #[test]
+        fn prop_advance_matches_reference_loop(
+            seed in any::<u64>(),
+            n in 1usize..25,
+            boundary in -10.0f64..60.0,
+            strata in prop::collection::vec(0.0f64..1.0, 12),
+            plan in prop::collection::vec((0u64..3, 0u64..40, 0usize..12), 1..=40),
+        ) {
+            let (mut net, _) = random_network(seed, n);
+            net.set_boundary_celsius(boundary);
+            let mut oracle = net.clone();
+            let max_ns = net.max_substep().as_nanos();
+            // One remainder in each twelfth of (0, max_substep): distinct.
+            let width = (max_ns - 1) / 12;
+            let pool: Vec<u64> = strata
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| 1 + i as u64 * width + (f * width as f64) as u64)
+                .collect();
+            for &(kind, whole, r) in &plan {
+                let ns = match kind {
+                    0 => (whole + 1) * max_ns,
+                    1 => pool[r],
+                    _ => whole * max_ns + pool[r],
+                };
+                let dt = SimDuration::from_nanos(ns);
+                net.advance(dt);
+                reference_advance(&mut oracle, dt);
+                for (a, b) in net.temperatures().iter().zip(oracle.temperatures()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "advance by {} ns", ns);
+                }
             }
         }
     }
