@@ -3,10 +3,8 @@
 //! platform (10 nodes) and a large synthetic one (128 nodes), each
 //! advanced through many substeps in two patterns — whole substeps, as a
 //! fleet epoch takes them, and event-driven intervals with recurring
-//! remainders, as the Figure 3 grid makes them. With `--features simd`
-//! the scalar and AVX2 kernels are measured side by side (via the
-//! runtime-dispatch override), so a kernel regression is visible
-//! independently of the sweep engine's pool.
+//! remainders, as the Figure 3 grid makes them — so a kernel regression is
+//! visible independently of the sweep engine's pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dimetrodon_sim_core::SimDuration;
@@ -74,21 +72,9 @@ fn bench_substep(c: &mut Criterion) {
 
         for (suffix, advance) in patterns {
             group.bench_function(&format!("scalar{suffix}"), |b| {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                dimetrodon_thermal::simd::force_scalar(true);
                 let mut network = network(n);
                 b.iter(|| advance(&mut network));
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                dimetrodon_thermal::simd::force_scalar(false);
             });
-
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if dimetrodon_thermal::simd::avx2_active() {
-                group.bench_function(&format!("simd{suffix}"), |b| {
-                    let mut network = network(n);
-                    b.iter(|| advance(&mut network));
-                });
-            }
         }
 
         group.finish();

@@ -89,19 +89,26 @@ fn injection_model(table: &mut Table, config: RunConfig) {
         .collect();
     for ((name, _), out) in variants.iter().zip(run_sweep(&sweep)) {
         push(table, "injection_model", name, "observed_tail_c", out.tail_temp);
-        let physical = out
-            .temp_series
-            .mean_over(SimTime::ZERO + (config.duration - config.measure_window))
-            .expect("sampled");
+        // The supervisor's placeholder for a failed point has no series
+        // and no curve: its physical tail and jitter are missing (NaN),
+        // like its observed tail.
+        let physical = if out.is_unavailable() {
+            f64::NAN
+        } else {
+            out.temp_series
+                .mean_over(SimTime::ZERO + (config.duration - config.measure_window))
+                .expect("sampled")
+        };
         push(table, "injection_model", name, "physical_tail_c", physical);
-        let jitter = {
-            let tail: Vec<f64> = out
-                .observed_curve
-                .iter()
-                .filter(|(t, _)| *t > config.duration.as_secs_f64() / 2.0)
-                .map(|&(_, v)| v)
-                .collect();
-            tail.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (tail.len() - 1) as f64
+        let tail: Vec<f64> = out
+            .observed_curve
+            .iter()
+            .filter(|(t, _)| *t > config.duration.as_secs_f64() / 2.0)
+            .map(|&(_, v)| v)
+            .collect();
+        let jitter = match tail.len() {
+            0 | 1 => f64::NAN,
+            n => tail.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (n - 1) as f64,
         };
         push(table, "injection_model", name, "curve_jitter_c", jitter);
     }

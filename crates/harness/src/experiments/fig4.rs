@@ -54,12 +54,21 @@ impl Fig4Data {
     }
 }
 
-fn point(outcome: &RunOutcome, base: &RunOutcome, tag: String) -> SweepPoint {
-    TradeoffPoint::new(
-        outcome.temp_reduction_vs(base),
-        outcome.throughput_reduction_vs(base),
-        tag,
-    )
+/// The trade-off points of `runs` against the unconstrained `base`, one
+/// per tag. A run whose reductions are not finite — the supervisor's
+/// placeholder for a point that timed out or was quarantined, or any run
+/// against a placeholder base — has no point: its incident is reported,
+/// and the frontier is taken over the points that were measured.
+fn points(runs: &[RunOutcome], tags: Vec<String>, base: &RunOutcome) -> Vec<SweepPoint> {
+    runs.iter()
+        .zip(tags)
+        .filter_map(|(outcome, tag)| {
+            let benefit = outcome.temp_reduction_vs(base);
+            let cost = outcome.throughput_reduction_vs(base);
+            (benefit.is_finite() && cost.is_finite())
+                .then(|| TradeoffPoint::new(benefit, cost, tag))
+        })
+        .collect()
 }
 
 /// Runs the full Figure 4 sweep.
@@ -129,17 +138,10 @@ pub fn run_subset(
     let grid = &outcomes[1..1 + grid_len];
     let vfs_runs = &outcomes[1 + grid_len..1 + grid_len + vfs_tags.len()];
     let tcc_runs = &outcomes[1 + grid_len + vfs_tags.len()..];
-
-    let label = |runs: &[RunOutcome], run_tags: Vec<String>| -> Vec<SweepPoint> {
-        runs.iter()
-            .zip(run_tags)
-            .map(|(outcome, tag)| point(outcome, base, tag))
-            .collect()
-    };
     Fig4Data {
-        dimetrodon: label(grid, tags),
-        vfs: label(vfs_runs, vfs_tags),
-        tcc: label(tcc_runs, tcc_tags),
+        dimetrodon: points(grid, tags, base),
+        vfs: points(vfs_runs, vfs_tags, base),
+        tcc: points(tcc_runs, tcc_tags, base),
     }
 }
 
@@ -169,6 +171,7 @@ pub fn crossover_temp_reduction(data: &Fig4Data) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::unavailable_outcome;
 
     #[test]
     fn mechanism_shapes_hold() {
@@ -231,5 +234,36 @@ mod tests {
             max_dim > max_vfs,
             "dimetrodon should reach deeper reductions: {max_dim} vs {max_vfs}"
         );
+    }
+
+    /// A measured run: idle at 30 °C, `tail` °C over the window.
+    fn measured(tail: f64, throughput: f64) -> RunOutcome {
+        RunOutcome {
+            tail_temp: tail,
+            throughput,
+            idle_temp: 30.0,
+            ..unavailable_outcome()
+        }
+    }
+
+    #[test]
+    fn placeholders_have_no_trade_off_point() {
+        let base = measured(50.0, 1.0);
+        let runs = [measured(40.0, 0.8), unavailable_outcome()];
+        let tags = || vec!["measured".to_string(), "failed".to_string()];
+        let kept = points(&runs, tags(), &base);
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].tag, "measured");
+        assert!((kept[0].benefit - 0.5).abs() < 1e-12);
+        assert!((kept[0].cost - 0.2).abs() < 1e-12);
+        // A placeholder base leaves no run measurable against it.
+        assert!(points(&runs, tags(), &unavailable_outcome()).is_empty());
+        let data = Fig4Data {
+            dimetrodon: kept,
+            vfs: Vec::new(),
+            tcc: Vec::new(),
+        };
+        assert_eq!(data.dimetrodon_pareto().len(), 1);
+        assert_eq!(crossover_temp_reduction(&data), None);
     }
 }

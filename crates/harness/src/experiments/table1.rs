@@ -12,7 +12,7 @@ use dimetrodon_analysis::{fit_power_law, pareto_frontier, PowerLawFit, TradeoffP
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::SpecBenchmark;
 
-use crate::runner::{Actuation, RunConfig, SaturatingWorkload};
+use crate::runner::{Actuation, RunConfig, RunOutcome, SaturatingWorkload};
 use crate::sweep::{run_sweep, SweepPoint as EnginePoint};
 
 /// The `(p, L)` grid each workload is swept over.
@@ -123,15 +123,6 @@ pub fn run_workloads(
         workloads.iter().zip(&slots)
     {
         let base = &outcomes[base_index];
-        let sweep: Vec<(f64, f64)> = outcomes[grid_start..grid_start + grid_len]
-            .iter()
-            .map(|outcome| {
-                (
-                    outcome.temp_reduction_vs(base),
-                    outcome.throughput_reduction_vs(base),
-                )
-            })
-            .collect();
         // Fit over the pareto boundary for r in [0, 0.5] (the paper's
         // Table 1 fit range; cpuburn's §3.4 fit extends to 0.75).
         let r_max = if *workload == SaturatingWorkload::CpuBurn {
@@ -139,24 +130,8 @@ pub fn run_workloads(
         } else {
             0.5
         };
-        let points: Vec<TradeoffPoint<usize>> = sweep
-            .iter()
-            .enumerate()
-            .map(|(k, &(r, t))| TradeoffPoint::new(r, t, k))
-            .collect();
-        let frontier = pareto_frontier(&points);
-        let fit_points: Vec<(f64, f64)> = frontier
-            .iter()
-            .filter(|pt| pt.benefit <= r_max)
-            .map(|pt| (pt.benefit, pt.cost))
-            .collect();
-        #[expect(
-            clippy::panic,
-            reason = "a failed fit means a degenerate frontier; fail loudly, naming the workload"
-        )]
-        let fit =
-            fit_power_law(&fit_points).unwrap_or_else(|e| panic!("fit failed for {name}: {e}"));
-
+        let grid = &outcomes[grid_start..grid_start + grid_len];
+        let (sweep, fit) = reduce(name, base, grid, r_max);
         rows.push(Table1Row {
             workload: name.clone(),
             rise_pct: base.rise_over_idle() / burn_rise * 100.0,
@@ -169,9 +144,62 @@ pub fn run_workloads(
     rows
 }
 
+/// One workload's grid reduced against its unconstrained `base`: every
+/// run's `(temp_reduction, throughput_reduction)`, and the `T(r) = α·r^β`
+/// fit over the pareto boundary up to `r_max`. A grid holding a
+/// non-finite reduction — the supervisor's placeholder for a point that
+/// timed out or was quarantined, or every run against a placeholder
+/// base — was not fully measured, so its fit fields are NaN.
+///
+/// # Panics
+///
+/// Panics, naming the workload, if a fully measured grid's frontier
+/// cannot be fitted.
+fn reduce(
+    name: &str,
+    base: &RunOutcome,
+    grid: &[RunOutcome],
+    r_max: f64,
+) -> (Vec<(f64, f64)>, PowerLawFit) {
+    let sweep: Vec<(f64, f64)> = grid
+        .iter()
+        .map(|outcome| {
+            (
+                outcome.temp_reduction_vs(base),
+                outcome.throughput_reduction_vs(base),
+            )
+        })
+        .collect();
+    if !sweep.iter().all(|&(r, t)| r.is_finite() && t.is_finite()) {
+        let fit = PowerLawFit {
+            alpha: f64::NAN,
+            beta: f64::NAN,
+            r_squared: f64::NAN,
+        };
+        return (sweep, fit);
+    }
+    let points: Vec<TradeoffPoint<usize>> = sweep
+        .iter()
+        .enumerate()
+        .map(|(k, &(r, t))| TradeoffPoint::new(r, t, k))
+        .collect();
+    let fit_points: Vec<(f64, f64)> = pareto_frontier(&points)
+        .iter()
+        .filter(|pt| pt.benefit <= r_max)
+        .map(|pt| (pt.benefit, pt.cost))
+        .collect();
+    #[expect(
+        clippy::panic,
+        reason = "a failed fit means a degenerate frontier; fail loudly, naming the workload"
+    )]
+    let fit = fit_power_law(&fit_points).unwrap_or_else(|e| panic!("fit failed for {name}: {e}"));
+    (sweep, fit)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::unavailable_outcome;
 
     #[test]
     fn rise_percentages_track_table_1() {
@@ -228,5 +256,42 @@ mod tests {
         assert!(fit.beta > 1.0, "beta {}", fit.beta);
         assert!((0.4..4.0).contains(&fit.alpha), "alpha {}", fit.alpha);
         assert!(fit.r_squared > 0.7, "r^2 {}", fit.r_squared);
+    }
+
+    /// A measured run: idle at 30 °C, `tail` °C over the window.
+    fn measured(tail: f64, throughput: f64) -> RunOutcome {
+        RunOutcome {
+            tail_temp: tail,
+            throughput,
+            idle_temp: 30.0,
+            ..unavailable_outcome()
+        }
+    }
+
+    #[test]
+    fn placeholders_leave_the_fit_unmeasured() {
+        let base = measured(50.0, 1.0);
+        let grid = [
+            measured(45.0, 0.95),
+            measured(40.0, 0.8),
+            measured(35.0, 0.5),
+        ];
+        // The measured grid fits; the same grid with a placeholder run, or
+        // against a placeholder base, has NaN fit fields and no panic.
+        let (_, fit) = reduce("measured", &base, &grid, 0.75);
+        assert!(fit.alpha.is_finite() && fit.beta > 1.0);
+        let gap = [grid[0].clone(), unavailable_outcome(), grid[2].clone()];
+        for (base, grid) in [(&base, &gap[..]), (&unavailable_outcome(), &grid[..])] {
+            let (sweep, fit) = reduce("placeholder", base, grid, 0.75);
+            assert_eq!(sweep.len(), 3);
+            assert!(fit.alpha.is_nan() && fit.beta.is_nan() && fit.r_squared.is_nan());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fit failed for flat")]
+    fn a_measured_degenerate_frontier_still_fails_loudly() {
+        let base = measured(50.0, 1.0);
+        drop(reduce("flat", &base, &[measured(45.0, 0.9)], 0.75));
     }
 }

@@ -108,7 +108,7 @@ impl RunOutcome {
 
     /// Whether this is the supervisor's placeholder for a point that
     /// produced no measurement (`supervise::unavailable_outcome`).
-    fn is_unavailable(&self) -> bool {
+    pub fn is_unavailable(&self) -> bool {
         self.idle_temp.is_nan() || self.tail_temp.is_nan()
     }
 

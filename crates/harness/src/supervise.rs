@@ -61,7 +61,7 @@ use dimetrodon_ckpt::{fnv1a64, CkptError, Dec, Enc, Journal};
 use dimetrodon_sim_core::{derive_seed, TimeSeries};
 
 use crate::runner::{characterize_on, RunOutcome};
-use crate::sweep::{parallel_map, SweepPoint};
+use crate::sweep::{parallel_map_with, SweepPoint};
 
 /// What the supervisor does when a point panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,13 +245,6 @@ pub fn take_incidents() -> Vec<Incident> {
 /// Drains the count of points replayed from journals since the last call.
 pub fn take_replayed() -> usize {
     REPLAYED.swap(0, Ordering::Relaxed)
-}
-
-fn record_incident(incident: Incident) {
-    INCIDENTS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(incident);
 }
 
 // --- Fingerprints -------------------------------------------------------
@@ -529,12 +522,11 @@ fn run_attempt(
 }
 
 /// Runs one point under full supervision: bounded retries around
-/// [`run_attempt`], incident recording, and journaling of success.
+/// [`run_attempt`] and journaling of success.
 fn supervise_point(
     point: &SweepPoint,
     index: usize,
     fingerprint: u64,
-    sweep_label: &str,
     config: &SupervisorConfig,
     journal: Option<&SweepJournal>,
 ) -> PointOutcome {
@@ -555,38 +547,29 @@ fn supervise_point(
             }
         }
     }
-    let attempts = config.retries + 1;
     match first_error {
-        Some(AttemptError::Panicked(msg)) => {
-            record_incident(Incident {
-                sweep: sweep_label.to_string(),
-                point: index,
-                kind: IncidentKind::Quarantined,
-                attempts,
-                detail: msg.clone(),
-            });
-            PointOutcome::Panicked { msg }
-        }
-        Some(AttemptError::TimedOut) | None => {
-            record_incident(Incident {
-                sweep: sweep_label.to_string(),
-                point: index,
-                kind: IncidentKind::TimedOut,
-                attempts,
-                detail: String::new(),
-            });
-            PointOutcome::TimedOut
-        }
+        Some(AttemptError::Panicked(msg)) => PointOutcome::Panicked { msg },
+        Some(AttemptError::TimedOut) | None => PointOutcome::TimedOut,
     }
 }
 
 /// Runs a sweep under the supervision layer: journal replay, per-point
 /// quarantine/deadline/retry, and the sweep time budget. Outcomes come
 /// back in point order; callers wanting plain [`RunOutcome`]s collapse
-/// them with [`PointOutcome::into_outcome`].
+/// them with [`PointOutcome::into_outcome`]. The sweep's incidents are
+/// recorded in point order too, once every point has finished, so the
+/// list never depends on which worker finished first.
 pub fn run_supervised(points: &[SweepPoint], config: &SupervisorConfig) -> Vec<PointOutcome> {
+    run_supervised_with(crate::sweep::jobs(), points, config)
+}
+
+/// [`run_supervised`] on an explicit number of workers.
+fn run_supervised_with(
+    workers: usize,
+    points: &[SweepPoint],
+    config: &SupervisorConfig,
+) -> Vec<PointOutcome> {
     let sweep = fingerprint_sweep(points);
-    let sweep_label = format!("{sweep:016x}");
     let journal = config
         .journal_dir
         .as_ref()
@@ -596,7 +579,7 @@ pub fn run_supervised(points: &[SweepPoint], config: &SupervisorConfig) -> Vec<P
         reason = "the budget clock gates whether points start; it never flows into results"
     )]
     let start = Instant::now();
-    parallel_map(points.len(), |index| {
+    let outcomes = parallel_map_with(workers, points.len(), |index| {
         let point = &points[index];
         let fingerprint = fingerprint_point(point);
         if let Some(outcome) = journal.as_ref().and_then(|j| j.replayed(fingerprint)) {
@@ -605,18 +588,37 @@ pub fn run_supervised(points: &[SweepPoint], config: &SupervisorConfig) -> Vec<P
         }
         if let Some(budget) = config.sweep_budget {
             if start.elapsed() >= budget {
-                record_incident(Incident {
-                    sweep: sweep_label.clone(),
-                    point: index,
-                    kind: IncidentKind::Skipped,
-                    attempts: 0,
-                    detail: "sweep time budget exhausted".to_string(),
-                });
                 return PointOutcome::Skipped;
             }
         }
-        supervise_point(point, index, fingerprint, &sweep_label, config, journal.as_ref())
-    })
+        supervise_point(point, index, fingerprint, config, journal.as_ref())
+    });
+    let incidents = outcomes.iter().enumerate().filter_map(|(point, outcome)| {
+        let (kind, attempts, detail) = match outcome {
+            PointOutcome::Ok(_) => return None,
+            PointOutcome::Panicked { msg } => {
+                (IncidentKind::Quarantined, config.retries + 1, msg.clone())
+            }
+            PointOutcome::TimedOut => (IncidentKind::TimedOut, config.retries + 1, String::new()),
+            PointOutcome::Skipped => (
+                IncidentKind::Skipped,
+                0,
+                "sweep time budget exhausted".to_string(),
+            ),
+        };
+        Some(Incident {
+            sweep: format!("{sweep:016x}"),
+            point,
+            kind,
+            attempts,
+            detail,
+        })
+    });
+    INCIDENTS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .extend(incidents);
+    outcomes
 }
 
 #[cfg(test)]
@@ -746,24 +748,23 @@ mod tests {
         assert_eq!(attempt_point(&points[0], 0, 0), points[0]);
     }
 
-    #[test]
-    fn deadline_times_a_point_out_without_hanging() {
-        let _counters = counters();
-        // The point must be slow enough that it cannot finish before the
-        // watchdog starts waiting (a tiny point under parallel-test CPU
-        // contention can beat even a nanosecond recv_timeout): a
-        // half-hour simulated run takes on the order of a second of wall
-        // clock, against a 10 ms deadline.
+    /// A point slow enough that it cannot finish before the watchdog
+    /// starts waiting (a tiny point under parallel-test CPU contention can
+    /// beat even a nanosecond recv_timeout): a half-hour simulated run
+    /// takes on the order of a second of wall clock.
+    fn slow_point(seed: u64) -> SweepPoint {
         let slow = RunConfig {
             duration: SimDuration::from_secs(1800),
             measure_window: SimDuration::from_secs(1),
-            seed: 4,
+            seed,
         };
-        let points = vec![SweepPoint::new(
-            SaturatingWorkload::CpuBurn,
-            Actuation::None,
-            slow,
-        )];
+        SweepPoint::new(SaturatingWorkload::CpuBurn, Actuation::None, slow)
+    }
+
+    #[test]
+    fn deadline_times_a_point_out_without_hanging() {
+        let _counters = counters();
+        let points = vec![slow_point(4)];
         let config = SupervisorConfig {
             point_deadline: Some(Duration::from_millis(10)),
             ..SupervisorConfig::default()
@@ -771,6 +772,31 @@ mod tests {
         let outcomes = run_supervised(&points, &config);
         assert!(matches!(outcomes[0], PointOutcome::TimedOut));
         drop(take_incidents());
+    }
+
+    #[test]
+    fn incidents_are_listed_in_point_order() {
+        let _counters = counters();
+        // At two workers, point 1 panics at once while point 0 is still
+        // waiting out its deadline, so point 1 fails first.
+        let points = vec![slow_point(5), poisoned_point(6)];
+        let config = SupervisorConfig {
+            point_deadline: Some(Duration::from_millis(50)),
+            ..SupervisorConfig::default()
+        };
+        let outcomes = run_supervised_with(2, &points, &config);
+        assert!(matches!(outcomes[0], PointOutcome::TimedOut));
+        assert!(matches!(outcomes[1], PointOutcome::Panicked { .. }));
+        let sweep = format!("{:016x}", fingerprint_sweep(&points));
+        let listed: Vec<(usize, IncidentKind)> = take_incidents()
+            .into_iter()
+            .filter(|incident| incident.sweep == sweep)
+            .map(|incident| (incident.point, incident.kind))
+            .collect();
+        assert_eq!(
+            listed,
+            [(0, IncidentKind::TimedOut), (1, IncidentKind::Quarantined)]
+        );
     }
 
     #[test]

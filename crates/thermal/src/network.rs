@@ -25,14 +25,13 @@
 //! the conductance structure, and everything derived from it — lives in a
 //! [`Topology`] behind an `Arc`. The [`ThermalNetwork`] itself carries only
 //! the mutable state (temperatures, powers, integrator workspace), so
-//! cloning a network for a forked simulation copies a few small `Vec<f64>`s
-//! and bumps a reference count instead of duplicating the matrix.
+//! cloning a network copies a few small `Vec<f64>`s and bumps a reference
+//! count instead of duplicating the matrix: a fleet clones its settled
+//! prototype machine once per machine, and all of them share one topology.
 //!
 //! The conductance matrix is stored packed (compressed sparse rows, columns
 //! ascending) because realistic die/hotspot/package topologies are sparse:
-//! the substep cost scales with the number of edges, not `n²`. A padded
-//! slot-major copy of the same structure feeds the optional SIMD kernel
-//! (`simd` cargo feature); the scalar path never reads it.
+//! the substep cost scales with the number of edges, not `n²`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -105,7 +104,7 @@ impl fmt::Display for ThermalError {
 
 impl std::error::Error for ThermalError {}
 
-/// The immutable part of a thermal network, shared between forks via `Arc`.
+/// The immutable part of a thermal network, shared between clones via `Arc`.
 ///
 /// Everything in here is a pure function of the builder's inputs: the
 /// packed conductance structure, the per-node totals, the substep bound and
@@ -131,13 +130,6 @@ pub(crate) struct Topology {
     /// Assembly order matches the historical per-call construction, so
     /// solves produce bit-identical results.
     pub(crate) steady_matrix: Matrix,
-    /// Slot-major padded copy of the CSR structure for the SIMD kernel:
-    /// slot `k` of node `i` is at `k * n + i`. Padding slots carry the
-    /// node's own column and a zero conductance, so gathers stay in bounds
-    /// and contribute exactly `±0.0`.
-    pub(crate) ell_slots: usize,
-    pub(crate) ell_cols: Vec<i64>,
-    pub(crate) ell_vals: Vec<f64>,
 }
 
 /// Builder for a [`ThermalNetwork`].
@@ -308,28 +300,6 @@ impl ThermalNetworkBuilder {
             row_offsets.push(cols.len() as u32);
         }
 
-        // Slot-major padded (ELLPACK) mirror of the CSR structure for the
-        // SIMD kernel: lane = node, slot = neighbour rank. Padding repeats
-        // the node's own index with zero conductance.
-        let ell_slots = (0..n)
-            .map(|i| (row_offsets[i + 1] - row_offsets[i]) as usize)
-            .max()
-            .unwrap_or(0);
-        let mut ell_cols = vec![0i64; ell_slots * n];
-        let mut ell_vals = vec![0.0f64; ell_slots * n];
-        for i in 0..n {
-            let (start, end) = (row_offsets[i] as usize, row_offsets[i + 1] as usize);
-            for k in 0..ell_slots {
-                let (c, v) = if start + k < end {
-                    (cols[start + k] as i64, vals[start + k])
-                } else {
-                    (i as i64, 0.0)
-                };
-                ell_cols[k * n + i] = c;
-                ell_vals[k * n + i] = v;
-            }
-        }
-
         // The shortest local time constant bounds the internal substep.
         // Exponential Euler is unconditionally stable and exact per node;
         // a quarter of the fastest time constant keeps the coupling error
@@ -368,9 +338,6 @@ impl ThermalNetworkBuilder {
             max_substep,
             decay_max,
             steady_matrix,
-            ell_slots,
-            ell_cols,
-            ell_vals,
         };
         Ok(ThermalNetwork {
             topo: Arc::new(topology),
@@ -577,8 +544,8 @@ impl ThermalNetwork {
     }
 
     /// Whether two networks share one topology allocation (i.e. one was
-    /// cloned or forked from the other). Value-equal but independently
-    /// built networks return `false`.
+    /// cloned from the other). Value-equal but independently built
+    /// networks return `false`.
     pub fn shares_topology(&self, other: &ThermalNetwork) -> bool {
         Arc::ptr_eq(&self.topo, &other.topo)
     }
@@ -768,8 +735,6 @@ struct Kernel<'a> {
     total: &'a [f64],
     powers: &'a [f64],
     boundary: f64,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    topo: &'a Topology,
 }
 
 impl<'a> Kernel<'a> {
@@ -783,8 +748,6 @@ impl<'a> Kernel<'a> {
             total: &topo.total_conductance[..n],
             powers: &powers[..n],
             boundary,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            topo,
         }
     }
 
@@ -792,14 +755,9 @@ impl<'a> Kernel<'a> {
     ///
     /// Accumulates each row's neighbour products left to right, exactly as
     /// the historical dense walk did minus its `±0.0` products, so results
-    /// are bit-identical for physical temperatures. Under the `simd`
-    /// feature the AVX2 kernel takes the substep when the CPU has it.
+    /// are bit-identical for physical temperatures.
     #[inline(always)]
     fn substep(&self, decay: &[f64], old: &[f64], new: &mut [f64]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::simd::substep_vector(self.topo, self.boundary, old, self.powers, decay, new) {
-            return;
-        }
         let n = self.total.len();
         let (decay, old, new) = (&decay[..n], &old[..n], &mut new[..n]);
         for i in 0..n {
@@ -818,13 +776,44 @@ impl<'a> Kernel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::random_network;
     use dimetrodon_ckpt::State;
+    use dimetrodon_sim_core::SimRng;
     use proptest::prelude::*;
+
+    /// A random grounded network: a spanning tree to node 0 (which touches
+    /// ambient) plus extra edges, random capacitances and powers. With
+    /// `n = 1` its one CSR row is empty.
+    fn random_network(seed: u64, n: usize) -> ThermalNetwork {
+        let mut rng = SimRng::new(seed);
+        let mut b = ThermalNetworkBuilder::new(rng.uniform_range(15.0, 35.0));
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| b.add_node(format!("n{i}"), rng.uniform_range(0.1, 50.0)))
+            .collect();
+        b.connect_ambient(nodes[0], rng.uniform_range(0.05, 2.0));
+        for i in 1..n {
+            let j = ((rng.uniform() * i as f64) as usize).min(i - 1);
+            b.connect(nodes[i], nodes[j], rng.uniform_range(0.05, 5.0));
+            if rng.uniform() < 0.3 {
+                b.connect_ambient(nodes[i], rng.uniform_range(0.05, 2.0));
+            }
+        }
+        for _ in 0..n {
+            let a = ((rng.uniform() * n as f64) as usize).min(n - 1);
+            let c = ((rng.uniform() * n as f64) as usize).min(n - 1);
+            if a != c {
+                b.connect(nodes[a], nodes[c], rng.uniform_range(0.05, 5.0));
+            }
+        }
+        let mut net = b.build().unwrap();
+        for &node in &nodes {
+            net.set_power(node, rng.uniform_range(0.0, 80.0));
+        }
+        net
+    }
 
     /// The historical `advance` loop, kept as the oracle for the hoisted
     /// one: one `remaining.min(max_substep)` slice at a time, each a
-    /// separately dispatched substep whose decay factors are chosen by its
+    /// separate scalar CSR walk whose decay factors are chosen by its
     /// length in seconds (computed afresh for any irregular length).
     fn reference_advance(net: &mut ThermalNetwork, dt: SimDuration) {
         let topo = Arc::clone(&net.topo);
@@ -841,40 +830,18 @@ mod tests {
                     .collect()
             };
             let old = net.temperatures.clone();
-            reference_substep(
-                &topo,
-                net.boundary_celsius,
-                &old,
-                &net.powers,
-                &decay,
-                &mut net.temperatures,
-            );
-            remaining = remaining.saturating_sub(step);
-        }
-    }
-
-    /// The historical per-substep kernel dispatch and scalar CSR walk.
-    fn reference_substep(
-        topo: &Topology,
-        boundary: f64,
-        old: &[f64],
-        powers: &[f64],
-        decay: &[f64],
-        new: &mut [f64],
-    ) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::simd::substep_vector(topo, boundary, old, powers, decay, new) {
-            return;
-        }
-        for (i, out) in new.iter_mut().enumerate() {
-            let g_tot = topo.total_conductance[i];
-            let mut neighbour_heat = 0.0;
-            for k in topo.row_offsets[i] as usize..topo.row_offsets[i + 1] as usize {
-                neighbour_heat += topo.vals[k] * old[topo.cols[k] as usize];
+            for (i, out) in net.temperatures.iter_mut().enumerate() {
+                let g_tot = topo.total_conductance[i];
+                let mut neighbour_heat = 0.0;
+                for k in topo.row_offsets[i] as usize..topo.row_offsets[i + 1] as usize {
+                    neighbour_heat += topo.vals[k] * old[topo.cols[k] as usize];
+                }
+                let neighbour_heat =
+                    neighbour_heat + topo.ambient_conductance[i] * net.boundary_celsius;
+                let t_eq = (net.powers[i] + neighbour_heat) / g_tot;
+                *out = t_eq + (old[i] - t_eq) * decay[i];
             }
-            let neighbour_heat = neighbour_heat + topo.ambient_conductance[i] * boundary;
-            let t_eq = (powers[i] + neighbour_heat) / g_tot;
-            *out = t_eq + (old[i] - t_eq) * decay[i];
+            remaining = remaining.saturating_sub(step);
         }
     }
 
@@ -1220,9 +1187,9 @@ mod tests {
     #[test]
     fn clone_shares_topology() {
         let (net, _, _) = two_pole();
-        let fork = net.clone();
-        assert!(net.shares_topology(&fork));
-        assert_eq!(net, fork);
+        let copy = net.clone();
+        assert!(net.shares_topology(&copy));
+        assert_eq!(net, copy);
         // Independently built twins are value-equal but not shared.
         let (twin, _, _) = two_pole();
         assert!(!net.shares_topology(&twin));
@@ -1237,9 +1204,6 @@ mod tests {
         assert_eq!(topo.row_offsets, vec![0, 1, 2]);
         assert_eq!(topo.cols, vec![1, 0]);
         assert_eq!(topo.vals, vec![2.0, 2.0]);
-        assert_eq!(topo.ell_slots, 1);
-        assert_eq!(topo.ell_cols, vec![1, 0]);
-        assert_eq!(topo.ell_vals, vec![2.0, 2.0]);
     }
 
     #[test]
@@ -1340,7 +1304,7 @@ mod tests {
             strata in prop::collection::vec(0.0f64..1.0, 12),
             plan in prop::collection::vec((0u64..3, 0u64..40, 0usize..12), 1..=40),
         ) {
-            let (mut net, _) = random_network(seed, n);
+            let mut net = random_network(seed, n);
             net.set_boundary_celsius(boundary);
             let mut oracle = net.clone();
             let max_ns = net.max_substep().as_nanos();

@@ -1,14 +1,13 @@
-//! The `simd` and `invariants` features are forwarded by hand through
-//! every manifest: a crate that depends on a workspace crate declaring one
-//! of them must declare it too and forward `dep/feature`, or enabling the
-//! feature at the top silently skips part of the stack. rustc's
-//! `unexpected_cfgs` covers the other half (a `cfg(feature = ...)` naming
-//! an undeclared feature).
+//! The `invariants` feature is forwarded by hand through every manifest:
+//! a crate that depends on a workspace crate declaring it must declare it
+//! too and forward `dep/invariants`, or enabling the feature at the top
+//! silently skips part of the stack. rustc's `unexpected_cfgs` covers the
+//! other half (a `cfg(feature = ...)` naming an undeclared feature).
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-const FORWARDED: [&str; 2] = ["simd", "invariants"];
+const FORWARDED: [&str; 1] = ["invariants"];
 
 /// The slice of a manifest the check needs.
 #[derive(Default)]
