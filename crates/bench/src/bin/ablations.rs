@@ -34,7 +34,7 @@ use dimetrodon_sim_core::{SimDuration, SimTime};
 use dimetrodon_workload::CpuBurn;
 
 fn main() -> std::process::ExitCode {
-    let config = run_config_from_args(111, SUPERVISION_FLAGS);
+    let (_, config) = run_config_from_args(111, SUPERVISION_FLAGS);
     let mut table = Table::new(vec!["ablation", "variant", "metric", "value"]);
 
     injection_model(&mut table, config);

@@ -13,7 +13,7 @@ fn main() -> std::process::ExitCode {
         "Figure 1",
         "race-to-idle vs Dimetrodon power consumption (4-thread cpuburn burst)",
     );
-    let config = run_config_from_args(101, &[]);
+    let (_, config) = run_config_from_args(101, &[]);
     let data = fig1::run(config.seed);
 
     println!(

@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
         "Figure 2",
         "temperature rise over idle, 4x cpuburn, varying idle proportion p (L = 100 ms)",
     );
-    let config = run_config_from_args(102, SUPERVISION_FLAGS);
+    let (_, config) = run_config_from_args(102, SUPERVISION_FLAGS);
     let data = fig2::run(config);
 
     println!("idle temperature: {:.1} C", data.idle_temp);

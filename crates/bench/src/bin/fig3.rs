@@ -5,9 +5,7 @@
 //! cargo run --release -p dimetrodon-bench --bin fig3
 //! ```
 
-use dimetrodon_bench::{
-    banner, fig3_table, quick_requested, run_config_from_args, write_csv, SUPERVISION_FLAGS,
-};
+use dimetrodon_bench::{banner, fig3_table, run_config_from_args, write_csv, SUPERVISION_FLAGS};
 use dimetrodon_harness::experiments::fig3;
 
 fn main() -> std::process::ExitCode {
@@ -15,8 +13,8 @@ fn main() -> std::process::ExitCode {
         "Figure 3",
         "efficiency vs idle quantum length L for p in {.1, .25, .5, .75}",
     );
-    let config = run_config_from_args(103, SUPERVISION_FLAGS);
-    let data = if quick_requested() {
+    let (args, config) = run_config_from_args(103, SUPERVISION_FLAGS);
+    let data = if args.has("--quick") {
         fig3::run_subset(config, &[0.25, 0.5], &[1, 5, 25, 100])
     } else {
         fig3::run(config)

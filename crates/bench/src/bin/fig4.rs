@@ -6,9 +6,7 @@
 //! ```
 
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{
-    banner, quick_requested, run_config_from_args, write_csv, SUPERVISION_FLAGS,
-};
+use dimetrodon_bench::{banner, run_config_from_args, write_csv, SUPERVISION_FLAGS};
 use dimetrodon_harness::experiments::fig4::{self, SweepPoint};
 
 fn rows(table: &mut Table, mechanism: &str, points: &[SweepPoint], pareto: &[SweepPoint]) {
@@ -31,8 +29,8 @@ fn main() -> std::process::ExitCode {
         "Figure 4",
         "Dimetrodon vs voltage/frequency scaling vs p4tcc clock duty cycling",
     );
-    let config = run_config_from_args(104, SUPERVISION_FLAGS);
-    let data = if quick_requested() {
+    let (args, config) = run_config_from_args(104, SUPERVISION_FLAGS);
+    let data = if args.has("--quick") {
         fig4::run_subset(config, &[0.25, 0.75], &[5, 100], true)
     } else {
         fig4::run(config)

@@ -6,7 +6,7 @@
 //! ```
 
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{banner, quick_requested, run_config_from_args, write_csv};
+use dimetrodon_bench::{banner, run_config_from_args, write_csv};
 use dimetrodon_harness::experiments::fig5::{self, PolicyScope};
 
 fn main() -> std::process::ExitCode {
@@ -14,8 +14,8 @@ fn main() -> std::process::ExitCode {
         "Figure 5",
         "global vs per-thread control: cool-process throughput vs system temperature reduction",
     );
-    let config = run_config_from_args(105, &[]);
-    let data = if quick_requested() {
+    let (args, config) = run_config_from_args(105, &[]);
+    let data = if args.has("--quick") {
         fig5::run_subset(config, &[0.5, 0.9])
     } else {
         fig5::run(config)

@@ -6,7 +6,7 @@
 //! ```
 
 use dimetrodon_analysis::{pareto_frontier, Histogram, Table, TradeoffPoint};
-use dimetrodon_bench::{banner, quick_requested, run_config_from_args, write_csv};
+use dimetrodon_bench::{banner, run_config_from_args, write_csv};
 use dimetrodon_harness::experiments::fig6;
 
 fn main() -> std::process::ExitCode {
@@ -14,8 +14,8 @@ fn main() -> std::process::ExitCode {
         "Figure 6",
         "QoS vs temperature reduction for the 440-connection web workload",
     );
-    let config = run_config_from_args(106, &[]);
-    let data = if quick_requested() {
+    let (args, config) = run_config_from_args(106, &[]);
+    let data = if args.has("--quick") {
         fig6::run_subset(config, &[0.5, 0.9], &[50, 100])
     } else {
         fig6::run(config)

@@ -17,7 +17,7 @@
 //! every sweep-shaped binary, output is bit-identical at every `--jobs`
 //! count, and a killed run resumes from its journal with `--resume`
 //! (disable journaling with `--no-journal`). The standard comparison also
-//! prunes old journals with `--journal-gc K`; `--chaos` does not.
+//! prunes old journals with `--journal-gc K`.
 //!
 //! The standard comparison also writes durable mid-run checkpoints
 //! under `results/.ckpt/` every 50 control epochs (`--checkpoint-every
@@ -25,11 +25,11 @@
 //! `--restore` resumes each unfinished policy variant from its newest
 //! verifiable checkpoint — corrupt files are skipped, and the restored
 //! run's remaining epochs produce byte-identical CSV to an
-//! uninterrupted run.
+//! uninterrupted run. `--chaos` takes none of the checkpoint flags nor
+//! `--journal-gc`: naming one with it is a usage error.
 
 use dimetrodon_bench::{
-    apply_common_args, apply_journal_gc_from_args, banner, checkpoint_args, ckpt_dir,
-    quick_requested, results_dir, write_csv, Flag,
+    apply_common_args, banner, checked, ckpt_dir, journal_gc, results_dir, write_csv, Flag,
 };
 use dimetrodon_fleet::{
     chaos_comparison, chaos_table, fleet_comparison_checkpointed, fleet_table, ChaosGrid,
@@ -54,46 +54,47 @@ const FLAGS: &[Flag] = &[
 
 fn main() -> std::process::ExitCode {
     let args = apply_common_args(FLAGS);
+    let seed = checked(&args, args.value("--seed", "an unsigned integer", |_: &u64| true));
+    let machines = checked(
+        &args,
+        args.value("--machines", "a positive machine count", |&n: &usize| n > 0),
+    );
+    let every = checked(
+        &args,
+        args.value("--checkpoint-every", "a positive epoch count", |&n: &u64| n > 0),
+    );
+    let keep = checked(
+        &args,
+        args.value("--journal-gc", "a non-negative keep count", |_: &usize| true),
+    );
+    // The chaos sweep takes no plan, writes no checkpoint and prunes no journal.
+    for flag in [
+        "--chaos-plan",
+        "--checkpoint-every",
+        "--no-checkpoint",
+        "--restore",
+        "--journal-gc",
+    ] {
+        checked(&args, args.exclusive(flag, "--chaos"));
+    }
+    checked(&args, args.exclusive("--checkpoint-every", "--no-checkpoint"));
     banner(
         "fleet",
         "cluster routing policies over a rack-coupled fleet; placement as a thermal knob",
     );
-    let seed = match args.iter().position(|a| a == "--seed") {
-        Some(pos) => args
-            .get(pos + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--seed requires an integer"),
-        None => 211,
-    };
-    let quick = quick_requested();
-    let machines = match args.iter().position(|a| a == "--machines") {
-        Some(pos) => {
-            let n: usize = args
-                .get(pos + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--machines requires a positive integer");
-            assert!(n > 0, "--machines requires a positive integer");
-            n
-        }
-        None if quick => 32,
-        None => 256,
-    };
+    let seed = seed.unwrap_or(211);
+    let quick = args.has("--quick");
+    let machines = machines.unwrap_or(if quick { 32 } else { 256 });
     let mut config = FleetConfig::rack_scale(machines, seed);
     if quick {
         config.duration = FleetConfig::quick(seed).duration;
     }
-    let chaos_sweep = args.iter().any(|a| a == "--chaos");
-    if let Some(pos) = args.iter().position(|a| a == "--chaos-plan") {
-        assert!(
-            !chaos_sweep,
-            "--chaos-plan and --chaos are mutually exclusive"
-        );
-        let path = args.get(pos + 1).expect("--chaos-plan requires a file path");
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("--chaos-plan: read {path}: {e}"));
-        config.chaos = text
-            .parse()
-            .unwrap_or_else(|e| panic!("--chaos-plan: {path}: {e}"));
+    let chaos_sweep = args.has("--chaos");
+    if let Some(path) = args.text("--chaos-plan") {
+        if let Err(err) = config.load_chaos_plan(path) {
+            eprintln!("error: chaos plan: {err}");
+            return std::process::ExitCode::FAILURE;
+        }
         println!(
             "chaos plan: {} event(s) from {path}, on-crash {}",
             config.chaos.events().len(),
@@ -108,8 +109,8 @@ fn main() -> std::process::ExitCode {
         config.epochs()
     );
 
-    let no_journal = args.iter().any(|a| a == "--no-journal");
-    let resume = args.iter().any(|a| a == "--resume");
+    let no_journal = args.has("--no-journal");
+    let resume = args.has("--resume");
     if chaos_sweep {
         let intensities = if quick {
             QUICK_INTENSITIES.to_vec()
@@ -161,15 +162,14 @@ fn main() -> std::process::ExitCode {
             resume,
         ))
     };
-    let ckpt = checkpoint_args(&args);
-    let spec = if ckpt.disabled {
+    let spec = if args.has("--no-checkpoint") {
         None
     } else {
         let mut spec = CheckpointSpec::new(&ckpt_dir());
-        if let Some(every) = ckpt.every {
+        if let Some(every) = every {
             spec.every_epochs = every;
         }
-        spec.restore = ckpt.restore;
+        spec.restore = args.has("--restore");
         Some(spec)
     };
     let outcomes = match fleet_comparison_checkpointed(
@@ -188,7 +188,9 @@ fn main() -> std::process::ExitCode {
     if replayed > 0 {
         println!("[resume: {replayed} policy variant(s) replayed from journal]");
     }
-    apply_journal_gc_from_args(&args, &[config.fingerprint()]);
+    if let Some(keep) = keep {
+        journal_gc(keep, &[config.fingerprint()]);
+    }
 
     let table = fleet_table(&outcomes);
     println!("{}", table.render());

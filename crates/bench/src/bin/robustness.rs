@@ -15,7 +15,7 @@ fn main() -> std::process::ExitCode {
         "robustness",
         "setpoint control under sensor faults; trip activations and tracking cost",
     );
-    let config = run_config_from_args(113, &[]);
+    let (_, config) = run_config_from_args(113, &[]);
     let cells = robustness::run(config);
 
     let mut table = Table::new(vec![

@@ -11,14 +11,14 @@ use std::time::Instant;
 
 use dimetrodon_analysis::Table;
 use dimetrodon_bench::{
-    banner, fig3_table, quick_requested, results_dir, run_config_from_args, supervision_epilogue,
-    write_csv, SUPERVISION_FLAGS,
+    banner, fig3_table, results_dir, run_config_from_args, supervision_epilogue, write_csv,
+    SUPERVISION_FLAGS,
 };
 use dimetrodon_harness::experiments::{fig1, fig2, fig3, fig4, fig5, fig6, table1, validation};
 
 fn main() -> ExitCode {
-    let config = run_config_from_args(110, SUPERVISION_FLAGS);
-    let quick = quick_requested();
+    let (args, config) = run_config_from_args(110, SUPERVISION_FLAGS);
+    let quick = args.has("--quick");
     let mut summary: Vec<String> = Vec::new();
     let mut flushed: Vec<(String, String)> = Vec::new();
     let total_start = Instant::now();

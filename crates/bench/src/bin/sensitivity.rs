@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
         "sensitivity",
         "efficiency-vs-L knee location as the hotspot time constant varies",
     );
-    let config = run_config_from_args(112, SUPERVISION_FLAGS);
+    let (_, config) = run_config_from_args(112, SUPERVISION_FLAGS);
     let rows = sensitivity::run(config);
 
     let mut table = Table::new(vec!["tau_ms", "L_ms", "efficiency"]);

@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
         "Table 1",
         "real-workload results: rise over idle (% of cpuburn) and T(r) = a*r^b fits",
     );
-    let config = run_config_from_args(107, SUPERVISION_FLAGS);
+    let (_, config) = run_config_from_args(107, SUPERVISION_FLAGS);
     let rows = table1::run(config);
 
     let mut table = Table::new(vec![

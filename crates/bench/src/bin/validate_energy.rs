@@ -7,16 +7,16 @@
 //! ```
 
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{apply_common_args, banner, quick_requested, write_csv};
+use dimetrodon_bench::{apply_common_args, banner, write_csv};
 use dimetrodon_harness::experiments::validation;
 
 fn main() -> std::process::ExitCode {
-    apply_common_args(&[("--quick", false)]);
+    let args = apply_common_args(&[("--quick", false)]);
     banner(
         "S3.3 (energy)",
         "Dimetrodon energy / race-to-idle energy over equal windows (7 s finite cpuburn)",
     );
-    let trials = if quick_requested() { 2 } else { 5 };
+    let trials = if args.has("--quick") { 2 } else { 5 };
     println!("running {trials} trials per configuration (paper: 5)...\n");
     let v = validation::energy(trials, 109);
 

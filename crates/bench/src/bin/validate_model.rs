@@ -8,26 +8,20 @@
 //! ```
 
 use dimetrodon_analysis::Table;
-use dimetrodon_bench::{apply_common_args, banner, quick_requested, write_csv};
+use dimetrodon_bench::{apply_common_args, banner, checked, write_csv};
 use dimetrodon_harness::experiments::validation;
-
-fn trials_from_args(args: &[String], default: usize) -> usize {
-    match args.iter().position(|a| a == "--trials") {
-        Some(pos) => args
-            .get(pos + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--trials requires an integer"),
-        None => default,
-    }
-}
 
 fn main() -> std::process::ExitCode {
     let args = apply_common_args(&[("--quick", false), ("--trials", true)]);
+    let trials = checked(
+        &args,
+        args.value("--trials", "a positive trial count", |&n: &usize| n > 0),
+    )
+    .unwrap_or(if args.has("--quick") { 5 } else { 30 });
     banner(
         "S3.3 (throughput)",
         "measured runtime vs D(t) = R + S*p/(1-p)*L over the paper's (p, L) grid",
     );
-    let trials = trials_from_args(&args, if quick_requested() { 5 } else { 30 });
     println!("running {trials} trials per configuration (paper: 100)...\n");
     let v = validation::throughput(trials, 108);
 

@@ -23,8 +23,9 @@ use crate::{push_frame, read_frame, CkptError, Dec, Enc};
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DMTRJRNL";
 
 /// On-disk journal version, carried in the header frame. Version 1 was
-/// the retired line-per-record text format, which this build never reads.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+/// the retired line-per-record text format and version 2 the sweep
+/// records without their temperature series; this build reads neither.
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// The identity in a journal's first frame: which journal family wrote
 /// it, in which format version, for which run.

@@ -1,8 +1,10 @@
-//! Argument parsing for `dimetrodon-sim` — hand-rolled, dependency-free.
+//! Argument parsing for `dimetrodon-sim`, on the shared
+//! [`Args`](dimetrodon_harness::args::Args) parser.
 
-use std::fmt;
+use std::str::FromStr;
 
 use dimetrodon_fleet::PolicyKind;
+use dimetrodon_harness::args::{Args, ArgsError, Flag};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::SpecBenchmark;
 
@@ -23,8 +25,14 @@ pub enum WorkloadChoice {
     Profile,
 }
 
-impl WorkloadChoice {
-    fn parse(value: &str) -> Result<Self, ParseArgsError> {
+/// What `--workload` accepts.
+const WORKLOADS: &str =
+    "cpuburn | calculix | namd | dealII | bzip2 | gcc | astar | web | mix | profile";
+
+impl FromStr for WorkloadChoice {
+    type Err = ();
+
+    fn from_str(value: &str) -> Result<Self, ()> {
         match value {
             "cpuburn" => Ok(WorkloadChoice::CpuBurn),
             "web" => Ok(WorkloadChoice::Web),
@@ -34,12 +42,7 @@ impl WorkloadChoice {
                 .iter()
                 .find(|b| b.name() == other)
                 .map(|&b| WorkloadChoice::Spec(b))
-                .ok_or_else(|| ParseArgsError::BadValue {
-                    flag: "--workload",
-                    value: other.to_string(),
-                    expected:
-                        "cpuburn | calculix | namd | dealII | bzip2 | gcc | astar | web | mix | profile",
-                }),
+                .ok_or(()),
         }
     }
 }
@@ -52,6 +55,18 @@ pub enum SchedulerChoice {
     Bsd,
     /// ULE-lite per-CPU queues.
     Ule,
+}
+
+impl FromStr for SchedulerChoice {
+    type Err = ();
+
+    fn from_str(value: &str) -> Result<Self, ()> {
+        match value {
+            "bsd" => Ok(SchedulerChoice::Bsd),
+            "ule" => Ok(SchedulerChoice::Ule),
+            _ => Err(()),
+        }
+    }
 }
 
 /// Fully parsed CLI options.
@@ -90,17 +105,9 @@ pub struct Options {
     pub trip: Option<f64>,
     /// Simulation seed.
     pub seed: u64,
-    /// Worker threads for sweep-shaped runs; `None` means one per
+    /// Worker threads for the `--fleet` comparison; `None` means one per
     /// available core. Results are identical at every worker count.
     pub jobs: Option<usize>,
-    /// Abort sweep-shaped runs on a panicking point (the pre-supervisor
-    /// behaviour) instead of quarantining it.
-    pub strict: bool,
-    /// Extra attempts for a failed sweep point; retry seeds are derived
-    /// from the grid, so results stay deterministic.
-    pub retries: u32,
-    /// Wall-clock watchdog per sweep-point attempt, seconds.
-    pub point_deadline: Option<f64>,
     /// Run the fleet comparison over this many rack-coupled machines
     /// instead of a single-machine scenario.
     pub fleet: Option<usize>,
@@ -110,10 +117,9 @@ pub struct Options {
     /// Path of a fleet fault-plan file (`at <t>s machine <m>|rack <r>|all
     /// crash|crac <s> <d>|wedge` lines) injected into a `--fleet` run.
     pub chaos_plan_path: Option<String>,
-    /// Durable-checkpoint cadence: control epochs between saves for
-    /// `--fleet` runs, simulated events for scenario runs. Checkpointing
-    /// is off by default in the CLI; this flag (or `--restore`) turns it
-    /// on.
+    /// Durable-checkpoint cadence of a `--fleet` run, in control epochs
+    /// between saves. Checkpointing is off by default in the CLI; this
+    /// flag (or `--restore`) turns it on.
     pub checkpoint_every: Option<u64>,
     /// Never write checkpoints (excludes `--checkpoint-every`).
     pub no_checkpoint: bool,
@@ -142,9 +148,6 @@ impl Default for Options {
             trip: None,
             seed: 42,
             jobs: None,
-            strict: false,
-            retries: 0,
-            point_deadline: None,
             fleet: None,
             fleet_policy: None,
             chaos_plan_path: None,
@@ -155,54 +158,20 @@ impl Default for Options {
     }
 }
 
-/// Errors from [`Options::parse`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParseArgsError {
-    /// A flag that takes a value was passed without one.
-    MissingValue {
-        /// The flag.
-        flag: &'static str,
-    },
-    /// A value failed to parse or is out of range.
-    BadValue {
-        /// The flag.
-        flag: &'static str,
-        /// The offending value.
-        value: String,
-        /// What would have been accepted.
-        expected: &'static str,
-    },
-    /// An unrecognised argument.
-    UnknownFlag(String),
-    /// `--help` was requested.
-    HelpRequested,
-}
-
-impl fmt::Display for ParseArgsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseArgsError::MissingValue { flag } => write!(f, "{flag} requires a value"),
-            ParseArgsError::BadValue {
-                flag,
-                value,
-                expected,
-            } => write!(f, "bad value `{value}` for {flag} (expected {expected})"),
-            ParseArgsError::UnknownFlag(flag) => write!(f, "unknown argument `{flag}`"),
-            ParseArgsError::HelpRequested => write!(f, "help requested"),
-        }
-    }
-}
-
-impl std::error::Error for ParseArgsError {}
-
 /// Usage text for `--help`.
 pub const USAGE: &str = "\
 dimetrodon-sim: run a custom scenario on the simulated platform
 
 USAGE:
-    dimetrodon-sim [OPTIONS]
+    dimetrodon-sim [OPTIONS] [SCENARIO OPTIONS]      one machine
+    dimetrodon-sim --fleet <n> [OPTIONS] [FLEET OPTIONS]  a fleet of n
 
 OPTIONS:
+    --duration-secs <s> simulated run length              [default: 150]
+    --seed <n>         simulation seed                    [default: 42]
+    --help             print this text
+
+SCENARIO OPTIONS:
     --workload <w>     cpuburn | calculix | namd | dealII | bzip2 | gcc |
                        astar | web | mix | profile        [default: cpuburn]
     --profile <file>   replay a workload profile (implies --workload profile);
@@ -211,7 +180,6 @@ OPTIONS:
     --l-ms <ms>        idle quantum length in ms          [default: 25]
     --deterministic    error-diffusion injection instead of Bernoulli
     --setpoint <C>     closed-loop temperature target (overrides --p)
-    --duration-secs <s> simulated run length              [default: 150]
     --scheduler <s>    bsd | ule                          [default: bsd]
     --smt              enable SMT (co-scheduled idle quanta)
     --placement        thermal-aware wake placement
@@ -224,295 +192,157 @@ OPTIONS:
                        DTS telemetry for --setpoint runs)
     --trip <C>         arm the reactive thermal trip at this hotspot
                        temperature
-    --seed <n>         simulation seed                    [default: 42]
-    --jobs <n>         worker threads for sweep runs      [default: all cores]
-    --strict           abort sweep runs on a panicking point instead of
-                       quarantining it and finishing the grid
-    --retries <n>      extra attempts for a failed sweep point (seeds are
-                       re-derived from the grid; deterministic)  [default: 0]
-    --point-deadline <s> wall-clock watchdog per sweep-point attempt
+
+FLEET OPTIONS:
     --fleet <n>        run the cluster comparison over n rack-coupled
                        machines instead of a single-machine scenario
-                       (honours --duration-secs, --seed, --jobs)
     --fleet-policy <p> restrict --fleet to one routing policy:
                        round-robin | least-loaded | coolest-first |
                        pinned-migrate          [default: compare all]
-    --chaos-plan <file> inject a fleet fault plan into a --fleet run
+    --jobs <n>         worker threads for the comparison  [default: all cores]
+    --chaos-plan <file> inject a fleet fault plan
                        (`at <t>s machine <m>|rack <r>|all crash |
                        crac <scale> <delta> | wedge`, optionally
-                       `for <span>`; directive `on-crash drop|redistribute`)
+                       `for <span>`; directive `on-crash drop|redistribute`);
+                       excludes the checkpoint flags below
     --checkpoint-every <n> write a durable checkpoint to results/.ckpt/
-                       every n control epochs (--fleet) or n simulated
-                       events (scenario runs); corrupt files are detected
+                       every n control epochs; corrupt files are detected
                        by checksum on restore            [default: off]
     --no-checkpoint    never write checkpoints (excludes --checkpoint-every)
     --restore          resume from the newest verifiable checkpoint,
                        falling back past corrupt files; fails with a typed
                        error when checkpoints exist but none verifies
-    --help             print this text
 ";
 
+/// The flags every run reads.
+const COMMON_FLAGS: &[Flag] = &[("--duration-secs", true), ("--seed", true)];
+
+/// The flags only a single-machine scenario reads.
+const SCENARIO_FLAGS: &[Flag] = &[
+    ("--workload", true),
+    ("--profile", true),
+    ("--p", true),
+    ("--l-ms", true),
+    ("--deterministic", false),
+    ("--setpoint", true),
+    ("--scheduler", true),
+    ("--smt", false),
+    ("--placement", false),
+    ("--trace", true),
+    ("--faults", true),
+    ("--sensor-noise", true),
+    ("--trip", true),
+];
+
+/// The flags only a `--fleet` run reads.
+const FLEET_FLAGS: &[Flag] = &[
+    ("--fleet", true),
+    ("--fleet-policy", true),
+    ("--jobs", true),
+    ("--chaos-plan", true),
+    ("--checkpoint-every", true),
+    ("--no-checkpoint", false),
+    ("--restore", false),
+];
+
 impl Options {
-    /// Parses an argument list (without the program name).
+    /// Parses an argument list (without the program name). The list is
+    /// checked against the common flags plus the scenario flags, or plus
+    /// the fleet flags when `--fleet` is among them, so a flag the run
+    /// would ignore is an error.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseArgsError`] describing the first problem, or
-    /// [`ParseArgsError::HelpRequested`] for `--help`.
-    pub fn parse<I, S>(args: I) -> Result<Options, ParseArgsError>
+    /// Returns an [`ArgsError`] describing the first problem, or
+    /// [`ArgsError::HelpRequested`] for `--help`.
+    pub fn parse<I, S>(argv: I) -> Result<Options, ArgsError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut options = Options::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let arg = arg.as_ref();
-            let mut value_for = |flag: &'static str| {
-                iter.next()
-                    .map(|v| v.as_ref().to_string())
-                    .ok_or(ParseArgsError::MissingValue { flag })
-            };
-            match arg {
-                "--workload" => {
-                    options.workload = WorkloadChoice::parse(&value_for("--workload")?)?;
-                }
-                "--p" => {
-                    let raw = value_for("--p")?;
-                    let p: f64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--p",
-                        value: raw.clone(),
-                        expected: "a number in [0, 1)",
-                    })?;
-                    if !(0.0..1.0).contains(&p) {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--p",
-                            value: raw,
-                            expected: "a number in [0, 1)",
-                        });
-                    }
-                    options.p = Some(p);
-                }
-                "--l-ms" => {
-                    let raw = value_for("--l-ms")?;
-                    let ms: f64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--l-ms",
-                        value: raw.clone(),
-                        expected: "a positive number of milliseconds",
-                    })?;
-                    if !(ms > 0.0 && ms.is_finite()) {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--l-ms",
-                            value: raw,
-                            expected: "a positive number of milliseconds",
-                        });
-                    }
-                    options.quantum = SimDuration::from_millis_f64(ms);
-                }
-                "--deterministic" => options.deterministic = true,
-                "--setpoint" => {
-                    let raw = value_for("--setpoint")?;
-                    let c: f64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--setpoint",
-                        value: raw.clone(),
-                        expected: "a temperature in celsius",
-                    })?;
-                    options.setpoint = Some(c);
-                }
-                "--duration-secs" => {
-                    let raw = value_for("--duration-secs")?;
-                    let s: u64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--duration-secs",
-                        value: raw.clone(),
-                        expected: "a positive integer",
-                    })?;
-                    if s == 0 {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--duration-secs",
-                            value: raw,
-                            expected: "a positive integer",
-                        });
-                    }
-                    options.duration = SimDuration::from_secs(s);
-                }
-                "--scheduler" => {
-                    let raw = value_for("--scheduler")?;
-                    options.scheduler = match raw.as_str() {
-                        "bsd" => SchedulerChoice::Bsd,
-                        "ule" => SchedulerChoice::Ule,
-                        _ => {
-                            return Err(ParseArgsError::BadValue {
-                                flag: "--scheduler",
-                                value: raw,
-                                expected: "bsd | ule",
-                            })
-                        }
-                    };
-                }
-                "--smt" => options.smt = true,
-                "--placement" => options.placement = true,
-                "--trace" => {
-                    let raw = value_for("--trace")?;
-                    let n: usize = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--trace",
-                        value: raw.clone(),
-                        expected: "a positive record count",
-                    })?;
-                    if n == 0 {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--trace",
-                            value: raw,
-                            expected: "a positive record count",
-                        });
-                    }
-                    options.trace = Some(n);
-                }
-                "--profile" => {
-                    options.profile_path = Some(value_for("--profile")?);
-                    options.workload = WorkloadChoice::Profile;
-                }
-                "--faults" => {
-                    options.faults_path = Some(value_for("--faults")?);
-                }
-                "--sensor-noise" => {
-                    let raw = value_for("--sensor-noise")?;
-                    let sigma: f64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--sensor-noise",
-                        value: raw.clone(),
-                        expected: "a non-negative sigma in celsius",
-                    })?;
-                    if !(sigma >= 0.0 && sigma.is_finite()) {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--sensor-noise",
-                            value: raw,
-                            expected: "a non-negative sigma in celsius",
-                        });
-                    }
-                    options.sensor_noise = Some(sigma);
-                }
-                "--trip" => {
-                    let raw = value_for("--trip")?;
-                    let c: f64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--trip",
-                        value: raw.clone(),
-                        expected: "a finite temperature in celsius",
-                    })?;
-                    if !c.is_finite() {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--trip",
-                            value: raw,
-                            expected: "a finite temperature in celsius",
-                        });
-                    }
-                    options.trip = Some(c);
-                }
-                "--seed" => {
-                    let raw = value_for("--seed")?;
-                    options.seed = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--seed",
-                        value: raw,
-                        expected: "an unsigned integer",
-                    })?;
-                }
-                "--jobs" => {
-                    let raw = value_for("--jobs")?;
-                    let n: usize = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--jobs",
-                        value: raw.clone(),
-                        expected: "a positive worker count",
-                    })?;
-                    if n == 0 {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--jobs",
-                            value: raw,
-                            expected: "a positive worker count",
-                        });
-                    }
-                    options.jobs = Some(n);
-                }
-                "--strict" => options.strict = true,
-                "--retries" => {
-                    let raw = value_for("--retries")?;
-                    options.retries = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--retries",
-                        value: raw,
-                        expected: "a non-negative attempt count",
-                    })?;
-                }
-                "--point-deadline" => {
-                    let raw = value_for("--point-deadline")?;
-                    let secs: f64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--point-deadline",
-                        value: raw.clone(),
-                        expected: "a positive number of seconds",
-                    })?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--point-deadline",
-                            value: raw,
-                            expected: "a positive number of seconds",
-                        });
-                    }
-                    options.point_deadline = Some(secs);
-                }
-                "--fleet" => {
-                    let raw = value_for("--fleet")?;
-                    let n: usize = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--fleet",
-                        value: raw.clone(),
-                        expected: "a positive machine count",
-                    })?;
-                    if n == 0 {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--fleet",
-                            value: raw,
-                            expected: "a positive machine count",
-                        });
-                    }
-                    options.fleet = Some(n);
-                }
-                "--fleet-policy" => {
-                    let raw = value_for("--fleet-policy")?;
-                    options.fleet_policy =
-                        Some(PolicyKind::parse(&raw).ok_or(ParseArgsError::BadValue {
-                            flag: "--fleet-policy",
-                            value: raw,
-                            expected: "round-robin | least-loaded | coolest-first | pinned-migrate",
-                        })?);
-                }
-                "--chaos-plan" => {
-                    options.chaos_plan_path = Some(value_for("--chaos-plan")?);
-                }
-                "--checkpoint-every" => {
-                    let raw = value_for("--checkpoint-every")?;
-                    let n: u64 = raw.parse().map_err(|_| ParseArgsError::BadValue {
-                        flag: "--checkpoint-every",
-                        value: raw.clone(),
-                        expected: "a positive cadence",
-                    })?;
-                    if n == 0 {
-                        return Err(ParseArgsError::BadValue {
-                            flag: "--checkpoint-every",
-                            value: raw,
-                            expected: "a positive cadence",
-                        });
-                    }
-                    options.checkpoint_every = Some(n);
-                }
-                "--no-checkpoint" => options.no_checkpoint = true,
-                "--restore" => options.restore = true,
-                "--help" | "-h" => return Err(ParseArgsError::HelpRequested),
-                other => return Err(ParseArgsError::UnknownFlag(other.to_string())),
+        let argv: Vec<String> = argv.into_iter().map(|a| a.as_ref().to_string()).collect();
+        let fleet = argv.iter().any(|a| a == "--fleet");
+        let (shape, other) = if fleet {
+            (FLEET_FLAGS, SCENARIO_FLAGS)
+        } else {
+            (SCENARIO_FLAGS, FLEET_FLAGS)
+        };
+        let accepted: Vec<Flag> = COMMON_FLAGS.iter().chain(shape).copied().collect();
+        let args = Args::parse(&argv, &accepted).map_err(|err| match err {
+            ArgsError::UnknownFlag(arg) => match other.iter().find(|(name, _)| *name == arg) {
+                Some(&(name, _)) if fleet => ArgsError::Exclusive(name, "--fleet"),
+                Some(&(name, _)) => ArgsError::Requires(name, "--fleet"),
+                None => ArgsError::UnknownFlag(arg),
+            },
+            err => err,
+        })?;
+        // The CLI's chaos runs drive the fleet directly, uncheckpointed.
+        for flag in ["--checkpoint-every", "--no-checkpoint", "--restore"] {
+            args.exclusive("--chaos-plan", flag)?;
+        }
+        args.exclusive("--checkpoint-every", "--no-checkpoint")?;
+
+        let defaults = Options::default();
+        let profile_path = args.text("--profile").map(str::to_string);
+        let workload = match args.value("--workload", WORKLOADS, |_: &WorkloadChoice| true)? {
+            Some(w) if profile_path.is_some() && w != WorkloadChoice::Profile => {
+                return Err(ArgsError::Exclusive("--workload", "--profile"));
             }
-        }
-        if options.no_checkpoint && options.checkpoint_every.is_some() {
-            return Err(ParseArgsError::BadValue {
-                flag: "--no-checkpoint",
-                value: "--checkpoint-every".into(),
-                expected: "at most one of the two flags",
-            });
-        }
-        Ok(options)
+            Some(w) => w,
+            None if profile_path.is_some() => WorkloadChoice::Profile,
+            None => defaults.workload,
+        };
+        Ok(Options {
+            workload,
+            p: args.value("--p", "a number in [0, 1)", |p: &f64| (0.0..1.0).contains(p))?,
+            quantum: args
+                .value("--l-ms", "a positive number of milliseconds", |ms: &f64| {
+                    *ms > 0.0 && ms.is_finite()
+                })?
+                .map_or(defaults.quantum, SimDuration::from_millis_f64),
+            deterministic: args.has("--deterministic"),
+            setpoint: args.value("--setpoint", "a temperature in celsius", |_: &f64| true)?,
+            duration: args
+                .value("--duration-secs", "a positive integer", |&s: &u64| s > 0)?
+                .map_or(defaults.duration, SimDuration::from_secs),
+            scheduler: args
+                .value("--scheduler", "bsd | ule", |_: &SchedulerChoice| true)?
+                .unwrap_or_default(),
+            smt: args.has("--smt"),
+            placement: args.has("--placement"),
+            trace: args.value("--trace", "a positive record count", |&n: &usize| n > 0)?,
+            profile_path,
+            faults_path: args.text("--faults").map(str::to_string),
+            sensor_noise: args.value(
+                "--sensor-noise",
+                "a non-negative sigma in celsius",
+                |s: &f64| *s >= 0.0 && s.is_finite(),
+            )?,
+            trip: args.value("--trip", "a finite temperature in celsius", |c: &f64| c.is_finite())?,
+            seed: args
+                .value("--seed", "an unsigned integer", |_: &u64| true)?
+                .unwrap_or(defaults.seed),
+            jobs: args.value("--jobs", "a positive worker count", |&n: &usize| n > 0)?,
+            fleet: args.value("--fleet", "a positive machine count", |&n: &usize| n > 0)?,
+            fleet_policy: args
+                .text("--fleet-policy")
+                .map(|raw| {
+                    PolicyKind::parse(raw).ok_or_else(|| ArgsError::BadValue {
+                        flag: "--fleet-policy",
+                        value: raw.to_string(),
+                        expected: "round-robin | least-loaded | coolest-first | pinned-migrate",
+                    })
+                })
+                .transpose()?,
+            chaos_plan_path: args.text("--chaos-plan").map(str::to_string),
+            checkpoint_every: args.value(
+                "--checkpoint-every",
+                "a positive epoch count",
+                |&n: &u64| n > 0,
+            )?,
+            no_checkpoint: args.has("--no-checkpoint"),
+            restore: args.has("--restore"),
+        })
     }
 }
 
@@ -557,7 +387,7 @@ mod tests {
         );
         assert!(matches!(
             Options::parse(["--workload", "nope"]),
-            Err(ParseArgsError::BadValue { flag: "--workload", .. })
+            Err(ArgsError::BadValue { flag: "--workload", .. })
         ));
     }
 
@@ -565,11 +395,11 @@ mod tests {
     fn rejects_out_of_range_p() {
         assert!(matches!(
             Options::parse(["--p", "1.0"]),
-            Err(ParseArgsError::BadValue { flag: "--p", .. })
+            Err(ArgsError::BadValue { flag: "--p", .. })
         ));
         assert!(matches!(
             Options::parse(["--p", "-0.1"]),
-            Err(ParseArgsError::BadValue { flag: "--p", .. })
+            Err(ArgsError::BadValue { flag: "--p", .. })
         ));
     }
 
@@ -577,18 +407,65 @@ mod tests {
     fn rejects_missing_values_and_unknown_flags() {
         assert_eq!(
             Options::parse(["--p"]),
-            Err(ParseArgsError::MissingValue { flag: "--p" })
+            Err(ArgsError::MissingValue { flag: "--p" })
         );
         assert_eq!(
             Options::parse(["--frobnicate"]),
-            Err(ParseArgsError::UnknownFlag("--frobnicate".into()))
+            Err(ArgsError::UnknownFlag("--frobnicate".into()))
         );
     }
 
     #[test]
+    fn flags_that_change_nothing_are_rejected() {
+        for flag in [
+            ["--strict", "--smt"],
+            ["--retries", "3"],
+            ["--point-deadline", "0.000001"],
+        ] {
+            assert_eq!(
+                Options::parse(flag),
+                Err(ArgsError::UnknownFlag(flag[0].into()))
+            );
+        }
+        assert_eq!(
+            Options::parse(["--p", "0.5", "--restore"]),
+            Err(ArgsError::Requires("--restore", "--fleet"))
+        );
+        assert_eq!(
+            Options::parse(["--jobs", "2"]),
+            Err(ArgsError::Requires("--jobs", "--fleet"))
+        );
+        assert_eq!(
+            Options::parse(["--fleet", "8", "--p", "0.5"]),
+            Err(ArgsError::Exclusive("--p", "--fleet"))
+        );
+        assert_eq!(
+            Options::parse(["--fleet", "4", "--chaos-plan", "p", "--checkpoint-every", "2"]),
+            Err(ArgsError::Exclusive("--chaos-plan", "--checkpoint-every"))
+        );
+        assert_eq!(
+            Options::parse(["--profile", "app.profile", "--workload", "gcc"]),
+            Err(ArgsError::Exclusive("--workload", "--profile"))
+        );
+    }
+
+    #[test]
+    fn every_accepted_flag_is_documented() {
+        let flags: Vec<&str> = [COMMON_FLAGS, SCENARIO_FLAGS, FLEET_FLAGS]
+            .concat()
+            .iter()
+            .map(|&(name, _)| name)
+            .collect();
+        assert_eq!(flags.len(), 22);
+        for flag in flags {
+            assert!(USAGE.contains(&format!("    {flag} ")), "{flag} missing from USAGE");
+        }
+    }
+
+    #[test]
     fn help_is_reported() {
-        assert_eq!(Options::parse(["--help"]), Err(ParseArgsError::HelpRequested));
-        assert_eq!(Options::parse(["-h"]), Err(ParseArgsError::HelpRequested));
+        assert_eq!(Options::parse(["--help"]), Err(ArgsError::HelpRequested));
+        assert_eq!(Options::parse(["-h"]), Err(ArgsError::HelpRequested));
         assert!(USAGE.contains("--workload"));
     }
 
@@ -598,7 +475,7 @@ mod tests {
         assert_eq!(o.trace, Some(50));
         assert!(matches!(
             Options::parse(["--trace", "0"]),
-            Err(ParseArgsError::BadValue { flag: "--trace", .. })
+            Err(ArgsError::BadValue { flag: "--trace", .. })
         ));
         let o = Options::parse(["--profile", "app.profile"]).unwrap();
         assert_eq!(o.workload, WorkloadChoice::Profile);
@@ -622,112 +499,78 @@ mod tests {
         assert_eq!(o.trip, Some(70.0));
         assert!(matches!(
             Options::parse(["--sensor-noise", "-1"]),
-            Err(ParseArgsError::BadValue { flag: "--sensor-noise", .. })
+            Err(ArgsError::BadValue { flag: "--sensor-noise", .. })
         ));
         assert!(matches!(
             Options::parse(["--sensor-noise", "inf"]),
-            Err(ParseArgsError::BadValue { flag: "--sensor-noise", .. })
+            Err(ArgsError::BadValue { flag: "--sensor-noise", .. })
         ));
         assert!(matches!(
             Options::parse(["--trip", "nan"]),
-            Err(ParseArgsError::BadValue { flag: "--trip", .. })
+            Err(ArgsError::BadValue { flag: "--trip", .. })
         ));
         assert!(USAGE.contains("--faults") && USAGE.contains("--trip"));
     }
 
     #[test]
-    fn jobs_parses_and_rejects_zero() {
-        let o = Options::parse(["--jobs", "8"]).unwrap();
-        assert_eq!(o.jobs, Some(8));
-        assert!(matches!(
-            Options::parse(["--jobs", "0"]),
-            Err(ParseArgsError::BadValue { flag: "--jobs", .. })
-        ));
-        assert!(USAGE.contains("--jobs"));
-    }
-
-    #[test]
-    fn supervisor_flags_parse_and_validate() {
-        let o = Options::parse(["--strict", "--retries", "3", "--point-deadline", "2.5"]).unwrap();
-        assert!(o.strict);
-        assert_eq!(o.retries, 3);
-        assert_eq!(o.point_deadline, Some(2.5));
-        assert!(matches!(
-            Options::parse(["--retries", "-1"]),
-            Err(ParseArgsError::BadValue { flag: "--retries", .. })
-        ));
-        assert!(matches!(
-            Options::parse(["--point-deadline", "0"]),
-            Err(ParseArgsError::BadValue { flag: "--point-deadline", .. })
-        ));
-        assert!(matches!(
-            Options::parse(["--point-deadline", "inf"]),
-            Err(ParseArgsError::BadValue { flag: "--point-deadline", .. })
-        ));
-        assert!(USAGE.contains("--strict") && USAGE.contains("--point-deadline"));
-    }
-
-    #[test]
     fn fleet_flags_parse_and_validate() {
-        let o = Options::parse(["--fleet", "64", "--fleet-policy", "coolest-first"]).unwrap();
+        let o = Options::parse([
+            "--fleet", "64", "--fleet-policy", "coolest-first", "--jobs", "8",
+            "--checkpoint-every", "25", "--restore",
+        ])
+        .unwrap();
         assert_eq!(o.fleet, Some(64));
         assert_eq!(o.fleet_policy, Some(PolicyKind::CoolestFirst));
-        assert_eq!(Options::parse(Vec::<String>::new()).unwrap().fleet, None);
-        assert!(matches!(
-            Options::parse(["--fleet", "0"]),
-            Err(ParseArgsError::BadValue { flag: "--fleet", .. })
-        ));
-        assert!(matches!(
-            Options::parse(["--fleet-policy", "hottest-first"]),
-            Err(ParseArgsError::BadValue { flag: "--fleet-policy", .. })
-        ));
-        assert!(USAGE.contains("--fleet") && USAGE.contains("--fleet-policy"));
-    }
-
-    #[test]
-    fn chaos_plan_parses() {
-        let o = Options::parse(["--fleet", "8", "--chaos-plan", "chaos.txt"]).unwrap();
-        assert_eq!(o.chaos_plan_path.as_deref(), Some("chaos.txt"));
-        assert_eq!(
-            Options::parse(Vec::<String>::new()).unwrap().chaos_plan_path,
-            None
-        );
-        assert_eq!(
-            Options::parse(["--chaos-plan"]),
-            Err(ParseArgsError::MissingValue { flag: "--chaos-plan" })
-        );
-        assert!(USAGE.contains("--chaos-plan"));
-    }
-
-    #[test]
-    fn checkpoint_flags_parse_and_validate() {
-        let o = Options::parse(["--checkpoint-every", "25", "--restore"]).unwrap();
+        assert_eq!(o.jobs, Some(8));
         assert_eq!(o.checkpoint_every, Some(25));
         assert!(o.restore && !o.no_checkpoint);
-        let o = Options::parse(["--no-checkpoint"]).unwrap();
+        assert!(crate::fleet_checkpoint_spec(&o).is_some_and(|spec| spec.restore && spec.every_epochs == 25));
+        let o = Options::parse(["--fleet", "4", "--no-checkpoint"]).unwrap();
         assert!(o.no_checkpoint && o.checkpoint_every.is_none());
-        assert!(matches!(
-            Options::parse(["--checkpoint-every", "0"]),
-            Err(ParseArgsError::BadValue { flag: "--checkpoint-every", .. })
-        ));
-        assert!(matches!(
-            Options::parse(["--checkpoint-every", "5", "--no-checkpoint"]),
-            Err(ParseArgsError::BadValue { flag: "--no-checkpoint", .. })
-        ));
-        assert!(USAGE.contains("--checkpoint-every") && USAGE.contains("--restore"));
+        assert!(crate::fleet_checkpoint_spec(&o).is_none());
+        let o = Options::parse(["--fleet", "8", "--chaos-plan", "chaos.txt", "--no-checkpoint"]);
+        assert_eq!(
+            o,
+            Err(ArgsError::Exclusive("--chaos-plan", "--no-checkpoint"))
+        );
+        let o = Options::parse(["--fleet", "8", "--chaos-plan", "chaos.txt"]).unwrap();
+        assert_eq!(o.chaos_plan_path.as_deref(), Some("chaos.txt"));
+        for (argv, flag) in [
+            (&["--fleet", "0"][..], "--fleet"),
+            (&["--fleet", "4", "--jobs", "0"], "--jobs"),
+            (&["--fleet", "8", "--fleet-policy", "hottest-first"], "--fleet-policy"),
+            (&["--fleet", "4", "--checkpoint-every", "0"], "--checkpoint-every"),
+        ] {
+            assert!(
+                matches!(Options::parse(argv), Err(ArgsError::BadValue { flag: f, .. }) if f == flag),
+                "{argv:?}"
+            );
+        }
+        assert_eq!(
+            Options::parse(["--fleet", "8", "--chaos-plan"]),
+            Err(ArgsError::MissingValue { flag: "--chaos-plan" })
+        );
+        assert_eq!(
+            Options::parse(["--fleet", "4", "--checkpoint-every", "5", "--no-checkpoint"]),
+            Err(ArgsError::Exclusive("--checkpoint-every", "--no-checkpoint"))
+        );
     }
 
     #[test]
     fn error_display() {
-        let e = ParseArgsError::BadValue {
+        let e = ArgsError::BadValue {
             flag: "--p",
             value: "2".into(),
             expected: "a number in [0, 1)",
         };
         assert!(e.to_string().contains("--p"));
-        assert!(ParseArgsError::MissingValue { flag: "--seed" }
+        assert!(ArgsError::MissingValue { flag: "--seed" }
             .to_string()
             .contains("--seed"));
+        assert_eq!(
+            ArgsError::Requires("--restore", "--fleet").to_string(),
+            "--restore requires --fleet"
+        );
     }
 
     proptest! {

@@ -11,13 +11,14 @@
 //!
 //! let options = Options::parse(["--workload", "astar", "--p", "0.25"])?;
 //! assert_eq!(options.p, Some(0.25));
-//! # Ok::<(), dimetrodon_cli::ParseArgsError>(())
+//! # Ok::<(), dimetrodon_cli::ArgsError>(())
 //! ```
 
 mod args;
 mod fleet;
 mod report;
 
-pub use args::{Options, ParseArgsError, SchedulerChoice, WorkloadChoice, USAGE};
+pub use args::{Options, SchedulerChoice, WorkloadChoice, USAGE};
+pub use dimetrodon_harness::args::ArgsError;
 pub use fleet::{compared_policies, fleet_checkpoint_spec, fleet_config, run_fleet_scenario};
-pub use report::{run_scenario, supervisor_config, Report, ScenarioError};
+pub use report::{run_scenario, Report, ScenarioError};

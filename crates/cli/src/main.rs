@@ -9,12 +9,12 @@
 
 use std::process::ExitCode;
 
-use dimetrodon_cli::{run_scenario, Options, ParseArgsError, USAGE};
+use dimetrodon_cli::{run_scenario, ArgsError, Options, USAGE};
 
 fn main() -> ExitCode {
     let options = match Options::parse(std::env::args().skip(1)) {
         Ok(options) => options,
-        Err(ParseArgsError::HelpRequested) => {
+        Err(ArgsError::HelpRequested) => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
@@ -22,14 +22,13 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!();
             eprint!("{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 
     if let Some(jobs) = options.jobs {
         dimetrodon_harness::sweep::set_jobs(jobs);
     }
-    dimetrodon_harness::supervise::install(dimetrodon_cli::supervisor_config(&options));
 
     if options.fleet.is_some() {
         println!(

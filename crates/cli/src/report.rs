@@ -64,9 +64,8 @@ pub enum ScenarioError {
     /// `--chaos-plan` was passed without a readable, valid fleet fault
     /// plan (or one that names machines/racks outside the fleet).
     Chaos(String),
-    /// `--restore` found checkpoint files but none verified, or replay
-    /// validation caught state divergence; the wrapped message is the
-    /// typed [`CkptError`](dimetrodon_ckpt::CkptError) rendering.
+    /// `--restore` found fleet checkpoint files but none verified; the
+    /// wrapped message is the typed `CkptError` rendering.
     Checkpoint(String),
 }
 
@@ -95,9 +94,8 @@ impl From<MachineError> for ScenarioError {
 /// # Errors
 ///
 /// Returns a [`ScenarioError`] if the machine configuration is invalid
-/// (not reachable through the CLI's own flags), the profile file is
-/// missing or malformed, or `--restore` finds checkpoint files but none
-/// verifies.
+/// (not reachable through the CLI's own flags), or the profile or fault
+/// plan file is missing or malformed.
 pub fn run_scenario(options: &Options) -> Result<Report, ScenarioError> {
     let mut machine_config = if options.smt {
         MachineConfig::xeon_e5520_smt()
@@ -225,26 +223,7 @@ pub fn run_scenario(options: &Options) -> Result<Report, ScenarioError> {
         }
     };
 
-    let end = SimTime::ZERO + options.duration;
-    match scenario_checkpoint_spec(options) {
-        Some(spec) => {
-            let report = dimetrodon_harness::ckpt::run_until_checkpointed(
-                &mut system,
-                end,
-                scenario_key(options),
-                "cli",
-                &spec,
-            )
-            .map_err(|e| ScenarioError::Checkpoint(e.to_string()))?;
-            if report.verified_events > 0 {
-                eprintln!(
-                    "[restore: verified {} replayed event(s) against the checkpoint]",
-                    report.verified_events
-                );
-            }
-        }
-        None => system.run_until(end),
-    }
+    system.run_until(SimTime::ZERO + options.duration);
 
     let window_start = SimTime::ZERO + options.duration.mul_f64(0.8);
     let observed_temp = system
@@ -281,49 +260,6 @@ pub fn run_scenario(options: &Options) -> Result<Report, ScenarioError> {
     })
 }
 
-/// The durable-checkpoint spec a scenario run uses, or `None` when
-/// checkpointing is off. Mirrors the `--fleet` rule: checkpointing is
-/// opt-in (`--checkpoint-every` / `--restore`) so plain CLI runs write
-/// nothing under `results/.ckpt/`.
-fn scenario_checkpoint_spec(
-    options: &Options,
-) -> Option<dimetrodon_harness::ckpt::RunCheckpointSpec> {
-    if options.no_checkpoint || (options.checkpoint_every.is_none() && !options.restore) {
-        return None;
-    }
-    let mut spec = dimetrodon_harness::ckpt::RunCheckpointSpec::new("results/.ckpt".into());
-    if let Some(every) = options.checkpoint_every {
-        spec.every_events = every;
-    }
-    spec.restore = options.restore;
-    Some(spec)
-}
-
-/// The checkpoint fingerprint of a scenario: a hash over every option
-/// that shapes the simulated event stream (workload, actuation,
-/// scheduler, faults, seed, duration — not runtime knobs like `--jobs`).
-/// A checkpoint written under one scenario is invisible to any other.
-fn scenario_key(options: &Options) -> u64 {
-    let determinants = format!(
-        "{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{}",
-        options.workload,
-        options.p,
-        options.quantum,
-        options.deterministic,
-        options.setpoint,
-        options.duration,
-        options.scheduler,
-        options.smt,
-        options.placement,
-        options.profile_path,
-        options.faults_path,
-        options.sensor_noise,
-        options.trip,
-        options.seed,
-    );
-    dimetrodon_ckpt::fnv1a64(determinants.as_bytes())
-}
-
 /// Telemetry reads lost by the installed controller, if one is present
 /// (directly or behind a [`FaultyHook`] wrapper).
 fn telemetry_losses(hook: &dyn SchedHook) -> u64 {
@@ -339,30 +275,6 @@ fn telemetry_losses(hook: &dyn SchedHook) -> u64 {
             .map_or(0, |controller| controller.telemetry().dropped_reads());
     }
     0
-}
-
-/// Builds the sweep-supervisor configuration the CLI installs from its
-/// flags: `--strict`, `--retries`, `--point-deadline`. Scenario runs are
-/// single points, so the CLI neither journals nor resumes; the flags
-/// give sweep-shaped code reached from the CLI the same supervision
-/// switchboard as the bench binaries.
-pub fn supervisor_config(options: &Options) -> dimetrodon_harness::supervise::SupervisorConfig {
-    use dimetrodon_harness::supervise::{PanicPolicy, SupervisorConfig};
-    SupervisorConfig {
-        policy: if options.strict {
-            PanicPolicy::Strict
-        } else {
-            PanicPolicy::Quarantine
-        },
-        point_deadline: options
-            .point_deadline
-            .map(std::time::Duration::from_secs_f64),
-        sweep_budget: None,
-        retries: options.retries,
-        journal_dir: None,
-        resume: false,
-        backoff: true,
-    }
 }
 
 impl Report {
@@ -395,21 +307,6 @@ impl Report {
         }
         if self.options.faults_path.is_some() || self.options.sensor_noise.is_some() {
             row("sensor reads dropped", format!("{}", self.dropped_reads));
-        }
-        if self.options.strict || self.options.retries > 0 || self.options.point_deadline.is_some()
-        {
-            let mut supervision = String::from(if self.options.strict {
-                "strict"
-            } else {
-                "quarantine"
-            });
-            if self.options.retries > 0 {
-                supervision.push_str(&format!(", retries {}", self.options.retries));
-            }
-            if let Some(deadline) = self.options.point_deadline {
-                supervision.push_str(&format!(", point deadline {deadline} s"));
-            }
-            row("sweep supervision", supervision);
         }
         let mut out = table.render();
         if let Some(qos) = &self.qos {
@@ -576,54 +473,6 @@ mod tests {
         let mut none = quick_options(WorkloadChoice::Profile);
         none.profile_path = None;
         assert!(matches!(run_scenario(&none), Err(ScenarioError::Profile(_))));
-    }
-
-    #[test]
-    fn checkpointed_scenario_restores_bit_identically() {
-        let mut options = quick_options(WorkloadChoice::CpuBurn);
-        options.p = Some(0.5);
-        options.seed = 4242;
-        options.checkpoint_every = Some(100);
-        let baseline = {
-            let mut plain = options.clone();
-            plain.checkpoint_every = None;
-            run_scenario(&plain).unwrap()
-        };
-        let checkpointed = run_scenario(&options).unwrap();
-        // Store files are named by the scenario key folded with the
-        // machine's declared checkpoint schema.
-        use dimetrodon_ckpt::State;
-        let fingerprint = dimetrodon_ckpt::schema_fold(scenario_key(&options), Machine::SCHEMA);
-        let stamp = format!("{fingerprint:016x}");
-        let dir = std::path::Path::new("results/.ckpt");
-        let mine = |entry: &std::fs::DirEntry| entry.file_name().to_string_lossy().contains(&stamp);
-        let written = std::fs::read_dir(dir)
-            .map(|entries| entries.filter_map(Result::ok).filter(mine).count())
-            .unwrap_or(0);
-        assert!(written > 0, "the checkpointed run must leave checkpoints");
-        options.restore = true;
-        let restored = run_scenario(&options).unwrap();
-        for report in [&checkpointed, &restored] {
-            assert_eq!(report.injected_idles, baseline.injected_idles);
-            assert_eq!(report.cpu_executed.to_bits(), baseline.cpu_executed.to_bits());
-            assert_eq!(
-                report.energy_joules.to_bits(),
-                baseline.energy_joules.to_bits()
-            );
-            assert_eq!(
-                report.physical_temp.to_bits(),
-                baseline.physical_temp.to_bits()
-            );
-        }
-        for entry in std::fs::read_dir(dir).unwrap().filter_map(Result::ok) {
-            if mine(&entry) {
-                std::fs::remove_file(entry.path()).unwrap();
-            }
-        }
-        // Leave no `results/` in the source tree; a directory that still
-        // holds other files is not empty and stays.
-        drop(std::fs::remove_dir(dir));
-        drop(std::fs::remove_dir("results"));
     }
 
     #[test]

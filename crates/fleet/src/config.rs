@@ -180,6 +180,33 @@ impl FleetConfig {
         }
     }
 
+    /// Reads the fleet fault plan at `path` into [`chaos`](Self::chaos),
+    /// checking that it names only machines and racks of this fleet.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `path` when the file is unreadable, the plan
+    /// does not parse, or it names a machine or rack outside the fleet;
+    /// the configuration is left unchanged.
+    pub fn load_chaos_plan(&mut self, path: &str) -> Result<(), String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+        let plan: FleetFaultPlan = text.parse().map_err(|e| format!("{path}: {e}"))?;
+        if let Some(m) = plan.max_machine().filter(|&m| m >= self.machines) {
+            return Err(format!(
+                "{path}: machine {m} is outside the {}-machine fleet",
+                self.machines
+            ));
+        }
+        if let Some(r) = plan.max_rack().filter(|&r| r >= self.racks()) {
+            return Err(format!(
+                "{path}: rack {r} is outside the {}-rack fleet",
+                self.racks()
+            ));
+        }
+        self.chaos = plan;
+        Ok(())
+    }
+
     /// The journal identity of this configuration: FNV-1a64 over an
     /// explicit field-by-field byte serialization (float bit patterns,
     /// durations as nanoseconds). The machine section is
@@ -312,6 +339,39 @@ mod tests {
             None,
         );
         config.validate();
+    }
+
+    #[test]
+    fn chaos_plans_load_or_error_cleanly() {
+        let dir = std::env::temp_dir().join(format!("fleet-chaos-plan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_string_lossy().into_owned()
+        };
+        let mut config = FleetConfig::rack_scale(32, 1);
+
+        let good = plan("crash.plan", "at 1s machine 31 crash for 2s\n");
+        config.load_chaos_plan(&good).unwrap();
+        assert_eq!(config.chaos.events().len(), 1);
+        config.validate();
+
+        let missing = dir.join("not-here.plan");
+        let err = config
+            .load_chaos_plan(&missing.to_string_lossy())
+            .unwrap_err();
+        assert!(err.starts_with("read "), "got: {err}");
+        let malformed = plan("bad.plan", "at 1s machine 0 explode\n");
+        assert!(config.load_chaos_plan(&malformed).is_err());
+        let far_machine = plan("far.plan", "at 1s machine 99 crash\n");
+        let err = config.load_chaos_plan(&far_machine).unwrap_err();
+        assert!(err.contains("machine 99 is outside the 32-machine fleet"), "got: {err}");
+        let far_rack = plan("far-rack.plan", "at 1s rack 2 crash\n");
+        let err = config.load_chaos_plan(&far_rack).unwrap_err();
+        assert!(err.contains("rack 2 is outside the 2-rack fleet"), "got: {err}");
+        assert_eq!(config.chaos.events().len(), 1, "a failed load changes nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! );
 //! ```
 
-pub mod ckpt;
+pub mod args;
 pub mod experiments;
 mod runner;
 pub mod supervise;

@@ -33,20 +33,16 @@
 //! completes produces exactly the outcome the bare pool would have
 //! produced: quarantine is `catch_unwind` around the same call, the
 //! watchdog runs the point on a dedicated thread with the same inputs,
-//! and replay restores the journaled measurements bit-for-bit (floats
+//! and replay restores the journaled outcome bit-for-bit (floats
 //! travel as IEEE-754 bit patterns, never through decimal, under a
 //! per-record checksum). Wall-clock
 //! time decides only whether a point is *attempted*; it never flows into
 //! any result value — which is why this module carries the workspace's
 //! only sanctioned `Instant::now` suppressions.
 //!
-//! The journal stores the **measurement projection** of a
-//! [`RunOutcome`] — the scalar metrics and the observed dispatch curve,
-//! which is everything any sweep-shaped experiment reads and everything
-//! any CSV contains. The raw diagnostic `temp_series` (hundreds of
-//! thousands of samples per sweep) is deliberately not journaled; a
-//! replayed outcome carries an empty series whose name records the
-//! original sample count.
+//! The journal stores the whole [`RunOutcome`]: the scalar metrics, the
+//! observed dispatch curve and the physical temperature series (times as
+//! nanoseconds), so a replayed outcome is the computed one.
 
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
@@ -58,7 +54,7 @@ use std::time::Duration;
 use std::time::Instant;
 
 use dimetrodon_ckpt::{fnv1a64, CkptError, Dec, Enc, Journal};
-use dimetrodon_sim_core::{derive_seed, TimeSeries};
+use dimetrodon_sim_core::{derive_seed, SimTime, TimeSeries};
 
 use crate::runner::{characterize_on, RunOutcome};
 use crate::sweep::{parallel_map_with, SweepPoint};
@@ -324,9 +320,8 @@ pub fn gc_journals(dir: &Path, keep: usize, active_fingerprints: &[u64]) -> usiz
 /// A sweep's journal: the outcomes replayed at open, keyed by point
 /// fingerprint, and the file completed points append to.
 ///
-/// Each record is one point's measurement projection (see the module
-/// docs) in a checksummed frame; the journal's own identity is the
-/// sweep fingerprint.
+/// Each record is one point's whole outcome in a checksummed frame; the
+/// journal's own identity is the sweep fingerprint.
 #[derive(Debug)]
 pub struct SweepJournal {
     journal: Journal,
@@ -370,6 +365,10 @@ impl SweepJournal {
         enc.u64(outcome.injected_idles);
         enc.bytes(outcome.temp_series.name().as_bytes());
         enc.seq_len(outcome.temp_series.len());
+        for (at, value) in outcome.temp_series.iter() {
+            enc.u64(at.as_nanos());
+            enc.f64(value);
+        }
         enc.seq_len(outcome.observed_curve.len());
         for &(t, v) in &outcome.observed_curve {
             enc.f64(t);
@@ -388,16 +387,18 @@ fn decode_record(record: &[u8]) -> Result<(u64, RunOutcome), CkptError> {
     let tail_temp = dec.f64()?;
     let throughput = dec.f64()?;
     let injected_idles = dec.u64()?;
-    let name = String::from_utf8_lossy(dec.bytes()?).into_owned();
-    let series_len = dec.seq_len()?;
+    let mut temp_series = TimeSeries::new(String::from_utf8_lossy(dec.bytes()?));
+    for _ in 0..dec.seq_len()? {
+        let (at, value) = (SimTime::from_nanos(dec.u64()?), dec.f64()?);
+        if value.is_nan() || temp_series.last().is_some_and(|(last, _)| at < last) {
+            return Err(CkptError::Malformed("unordered or NaN series sample".into()));
+        }
+        temp_series.push(at, value);
+    }
     let observed_curve = (0..dec.seq_len()?)
         .map(|_| Ok((dec.f64()?, dec.f64()?)))
         .collect::<Result<Vec<_>, CkptError>>()?;
     dec.finish()?;
-    // The raw series is not journaled (see module docs): a replayed
-    // outcome carries an empty series whose name records the original
-    // name and sample count for diagnostics.
-    let temp_series = TimeSeries::new(format!("replayed:{name}:{series_len}"));
     let outcome = RunOutcome {
         idle_temp,
         tail_temp,
@@ -844,6 +845,15 @@ mod tests {
             assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
             assert_eq!(a.observed_curve, b.observed_curve);
             assert_eq!(a.injected_idles, b.injected_idles);
+            assert_eq!(a.temp_series.name(), b.temp_series.name());
+            assert!(!a.temp_series.is_empty(), "a run samples its temperature");
+            let samples = |o: &RunOutcome| {
+                o.temp_series
+                    .iter()
+                    .map(|(t, v)| (t, v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(samples(a), samples(b));
         }
         drop(std::fs::remove_dir_all(&dir));
     }

@@ -1,7 +1,7 @@
 //! Property tests for the sweep supervisor (`harness::supervise`):
 //!
-//! * the journal preserves the measurement projection of a
-//!   [`RunOutcome`] bit-for-bit across arbitrary re-serialization cycles,
+//! * the journal preserves a whole [`RunOutcome`] bit-for-bit across
+//!   arbitrary re-serialization cycles,
 //!   and point fingerprints are a pure function of the point's fields;
 //! * a run killed after *any* k of n journal records — including a torn
 //!   final frame, as a SIGKILL mid-write leaves behind — resumes with
@@ -50,11 +50,16 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dimetrodon-supervise-prop-{}-{tag}", std::process::id()))
 }
 
-/// Bit-level equality of everything the journal preserves — which is
-/// everything any sweep consumer reads: the scalar metrics, the injected
-/// idle count, and the full observed dispatch curve.
+/// Bit-level equality of everything the journal preserves: the scalar
+/// metrics, the injected idle count, the full observed dispatch curve,
+/// and the temperature series with its name.
 fn same_measurements(a: &RunOutcome, b: &RunOutcome) -> bool {
-    a.idle_temp.to_bits() == b.idle_temp.to_bits()
+    let series = |o: &RunOutcome| {
+        let samples: Vec<_> = o.temp_series.iter().map(|(t, v)| (t, v.to_bits())).collect();
+        (o.temp_series.name().to_string(), samples)
+    };
+    series(a) == series(b)
+        && a.idle_temp.to_bits() == b.idle_temp.to_bits()
         && a.tail_temp.to_bits() == b.tail_temp.to_bits()
         && a.throughput.to_bits() == b.throughput.to_bits()
         && a.injected_idles == b.injected_idles

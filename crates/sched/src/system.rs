@@ -412,9 +412,9 @@ impl System {
     /// Dispatches at most `max_events` events at or before `deadline`
     /// and returns how many actually ran. The pop/advance/dispatch loop
     /// is the same one [`run_until`](Self::run_until) uses, so a run
-    /// chunked through `run_events` (checkpointing between chunks) and
-    /// finished with `run_until(deadline)` is bit-identical to a single
-    /// uninterrupted `run_until(deadline)`.
+    /// driven through `run_events` in any number of chunks (to count its
+    /// events, say) and finished with `run_until(deadline)` is
+    /// bit-identical to a single uninterrupted `run_until(deadline)`.
     ///
     /// A return value smaller than `max_events` means the queue holds no
     /// more events at or before the deadline; the machine model has
@@ -1402,5 +1402,50 @@ mod tests {
         );
         sys.run_until(SimTime::from_secs(1));
         assert!(recorder.kernel_seen.get());
+    }
+
+    #[test]
+    fn chunked_run_is_bit_identical_to_run_until() {
+        let build = || {
+            let mut sys = system();
+            sys.machine_mut().settle_idle();
+            sys.set_hook(Box::new(TestInjector {
+                p: 0.3,
+                quantum: SimDuration::from_millis(5),
+                rng: SimRng::new(11),
+            }));
+            for _ in 0..4 {
+                sys.spawn(ThreadKind::User, Box::new(Spin::new(1.0)));
+            }
+            sys
+        };
+        let deadline = SimTime::from_secs(5);
+        let mut plain = build();
+        plain.run_until(deadline);
+
+        let mut chunked = build();
+        let mut events = 0;
+        loop {
+            let n = chunked.run_events(40, deadline);
+            events += n;
+            if n < 40 {
+                break;
+            }
+        }
+        chunked.run_until(deadline);
+        assert!(events > 40, "the span must take several chunks");
+        assert_eq!(plain.now(), chunked.now());
+        assert_eq!(
+            format!("{:?}", plain.machine()),
+            format!("{:?}", chunked.machine())
+        );
+        assert_eq!(plain.total_injected_idles(), chunked.total_injected_idles());
+        let samples = |sys: &System| {
+            sys.mean_temp_series()
+                .iter()
+                .map(|(t, v)| (t, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(samples(&plain), samples(&chunked));
     }
 }
