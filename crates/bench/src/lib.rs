@@ -1,9 +1,11 @@
 //! Shared scaffolding for the figure/table regeneration binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper: it runs the corresponding `dimetrodon-harness` experiment,
-//! prints the rows/series the paper reports, and writes a CSV under
-//! `results/` for plotting. Pass `--quick` to any binary to run the
+//! Each single-machine binary in `src/bin/` regenerates one table or
+//! figure of the paper, or one of the reproduction's own studies: it
+//! looks itself up in [`EXPERIMENTS`], runs the corresponding
+//! `dimetrodon-harness` experiment, prints the rows/series the paper
+//! reports, and writes a CSV under `results/` for plotting. `run_all`
+//! runs the same table in order. Pass `--quick` to any binary to run the
 //! shortened configuration (used in smoke tests); the default matches the
 //! paper's 300 s methodology.
 
@@ -14,12 +16,12 @@ use std::process::ExitCode;
 use dimetrodon_analysis::Table;
 use dimetrodon_harness::args::ArgsError;
 use dimetrodon_harness::supervise;
-use dimetrodon_harness::RunConfig;
 
 pub use dimetrodon_harness::args::{Args, Flag, SUPERVISION_FLAGS};
+pub use experiments::{Experiment, EXPERIMENTS, RUN_FLAGS};
 
-/// The flags [`run_config_from_args`] reads: `--quick` and `--seed N`.
-const RUN_FLAGS: &[Flag] = &[("--quick", false), ("--seed", true)];
+mod ablations;
+mod experiments;
 
 /// Prints a usage error and the accepted flags, and exits with status 2;
 /// `--help` prints the accepted flags and exits 0.
@@ -66,28 +68,21 @@ pub fn apply_common_args(extra: &[Flag]) -> Args {
     args
 }
 
-/// [`apply_common_args`] for the figure and table binaries, which also
-/// accept `--quick` (the shortened configuration) and `--seed N`
-/// (overriding `default_seed`); returns the arguments and the run
-/// configuration they select.
-pub fn run_config_from_args(default_seed: u64, extra: &[Flag]) -> (Args, RunConfig) {
-    let accepted: Vec<Flag> = RUN_FLAGS.iter().chain(extra).copied().collect();
-    let args = apply_common_args(&accepted);
-    let config = checked(&args, run_config(&args, default_seed));
-    (args, config)
-}
-
-/// The run configuration `args` select: `--quick` picks the shortened
-/// configuration, `--seed N` overrides `default_seed`.
-fn run_config(args: &Args, default_seed: u64) -> Result<RunConfig, ArgsError> {
-    let seed = args
-        .value("--seed", "an unsigned integer", |_: &u64| true)?
-        .unwrap_or(default_seed);
-    Ok(if args.has("--quick") {
-        RunConfig::quick(seed)
-    } else {
-        RunConfig::paper(seed)
-    })
+/// The `main` of the experiment binary `name`: checks the command line
+/// against the experiment's flags, runs it, and reports supervision.
+///
+/// # Panics
+///
+/// Panics if `name` is not in [`EXPERIMENTS`].
+pub fn run_experiment(name: &str) -> ExitCode {
+    let experiment = EXPERIMENTS
+        .iter()
+        .find(|experiment| experiment.name == name)
+        .unwrap_or_else(|| panic!("no experiment named {name}"));
+    let args = apply_common_args(&experiment.accepted());
+    let config = checked(&args, experiment.config(&args));
+    (experiment.run)(&args, config);
+    supervision_epilogue()
 }
 
 /// End-of-run supervision report: prints how many points were replayed
@@ -153,9 +148,8 @@ fn write_csv_in(dir: &Path, name: &str, table: &Table) {
     println!("[wrote {}]", path.display());
 }
 
-/// The Figure 3 efficiency table, shared by the `fig3` binary and
-/// `run_all` so both emit the identical `fig3_efficiency.csv` (which the
-/// CI kill-and-resume check diffs byte-for-byte).
+/// The Figure 3 efficiency table of `fig3_efficiency.csv`, which the
+/// benchmark's `paper-sweep` workload renders too.
 pub fn fig3_table(data: &dimetrodon_harness::experiments::fig3::Fig3Data) -> Table {
     let mut table = Table::new(vec![
         "p",
@@ -180,22 +174,44 @@ pub fn fig3_table(data: &dimetrodon_harness::experiments::fig3::Fig3Data) -> Tab
 mod tests {
     use super::*;
 
+    fn experiment(name: &str) -> &'static Experiment {
+        EXPERIMENTS.iter().find(|e| e.name == name).unwrap()
+    }
+
     #[test]
     fn default_config_is_paper_scale() {
-        let none = Args::parse(Vec::<String>::new(), RUN_FLAGS).unwrap();
-        let config = run_config(&none, 5).unwrap();
-        assert_eq!(config.seed, 5);
+        let fig1 = experiment("fig1");
+        let none = Args::parse(Vec::<String>::new(), &fig1.accepted()).unwrap();
+        let config = fig1.config(&none).unwrap();
+        assert_eq!(config.seed, 101);
         assert_eq!(
             config.duration,
             dimetrodon_sim_core::SimDuration::from_secs(300)
         );
-        let quick = Args::parse(["--quick", "--seed", "9"], RUN_FLAGS).unwrap();
-        assert_eq!(run_config(&quick, 5).unwrap().seed, 9);
-        let bad = Args::parse(["--seed", "abc"], RUN_FLAGS).unwrap();
+        let quick = Args::parse(["--quick", "--seed", "9"], &fig1.accepted()).unwrap();
+        let quick_nine = dimetrodon_harness::RunConfig::quick(9);
+        assert_eq!(fig1.config(&quick).unwrap(), quick_nine);
+        let bad = Args::parse(["--seed", "abc"], &fig1.accepted()).unwrap();
         assert!(matches!(
-            run_config(&bad, 5),
+            fig1.config(&bad),
             Err(ArgsError::BadValue { flag: "--seed", .. })
         ));
+    }
+
+    #[test]
+    fn run_all_seeds_only_the_experiments_that_take_seed() {
+        // run_all's own flags: every experiment's run and supervision flags.
+        let flags = [RUN_FLAGS, SUPERVISION_FLAGS].concat();
+        let args = Args::parse(["--quick", "--seed", "7"], &flags).unwrap();
+        for experiment in EXPERIMENTS {
+            let expected = match experiment.name {
+                "validate_model" => 108,
+                "validate_energy" => 109,
+                _ => 7,
+            };
+            let seed = experiment.config(&args).unwrap().seed;
+            assert_eq!(seed, expected, "{}", experiment.name);
+        }
     }
 
     #[test]

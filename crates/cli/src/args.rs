@@ -3,7 +3,6 @@
 
 use std::str::FromStr;
 
-use dimetrodon_fleet::PolicyKind;
 use dimetrodon_harness::args::{Args, ArgsError, Flag};
 use dimetrodon_sim_core::SimDuration;
 use dimetrodon_workload::SpecBenchmark;
@@ -105,28 +104,6 @@ pub struct Options {
     pub trip: Option<f64>,
     /// Simulation seed.
     pub seed: u64,
-    /// Worker threads for the `--fleet` comparison; `None` means one per
-    /// available core. Results are identical at every worker count.
-    pub jobs: Option<usize>,
-    /// Run the fleet comparison over this many rack-coupled machines
-    /// instead of a single-machine scenario.
-    pub fleet: Option<usize>,
-    /// Restrict a `--fleet` run to one routing policy (default: compare
-    /// all of them).
-    pub fleet_policy: Option<PolicyKind>,
-    /// Path of a fleet fault-plan file (`at <t>s machine <m>|rack <r>|all
-    /// crash|crac <s> <d>|wedge` lines) injected into a `--fleet` run.
-    pub chaos_plan_path: Option<String>,
-    /// Durable-checkpoint cadence of a `--fleet` run, in control epochs
-    /// between saves. Checkpointing is off by default in the CLI; this
-    /// flag (or `--restore`) turns it on.
-    pub checkpoint_every: Option<u64>,
-    /// Never write checkpoints (excludes `--checkpoint-every`).
-    pub no_checkpoint: bool,
-    /// Resume from the newest verifiable checkpoint under
-    /// `results/.ckpt/`, falling back past corrupt files; the run fails
-    /// with a typed error when files exist but none verifies.
-    pub restore: bool,
 }
 
 impl Default for Options {
@@ -147,13 +124,6 @@ impl Default for Options {
             sensor_noise: None,
             trip: None,
             seed: 42,
-            jobs: None,
-            fleet: None,
-            fleet_policy: None,
-            chaos_plan_path: None,
-            checkpoint_every: None,
-            no_checkpoint: false,
-            restore: false,
         }
     }
 }
@@ -163,15 +133,9 @@ pub const USAGE: &str = "\
 dimetrodon-sim: run a custom scenario on the simulated platform
 
 USAGE:
-    dimetrodon-sim [OPTIONS] [SCENARIO OPTIONS]      one machine
-    dimetrodon-sim --fleet <n> [OPTIONS] [FLEET OPTIONS]  a fleet of n
+    dimetrodon-sim [OPTIONS]
 
 OPTIONS:
-    --duration-secs <s> simulated run length              [default: 150]
-    --seed <n>         simulation seed                    [default: 42]
-    --help             print this text
-
-SCENARIO OPTIONS:
     --workload <w>     cpuburn | calculix | namd | dealII | bzip2 | gcc |
                        astar | web | mix | profile        [default: cpuburn]
     --profile <file>   replay a workload profile (implies --workload profile);
@@ -180,6 +144,7 @@ SCENARIO OPTIONS:
     --l-ms <ms>        idle quantum length in ms          [default: 25]
     --deterministic    error-diffusion injection instead of Bernoulli
     --setpoint <C>     closed-loop temperature target (overrides --p)
+    --duration-secs <s> simulated run length              [default: 150]
     --scheduler <s>    bsd | ule                          [default: bsd]
     --smt              enable SMT (co-scheduled idle quanta)
     --placement        thermal-aware wake placement
@@ -192,39 +157,22 @@ SCENARIO OPTIONS:
                        DTS telemetry for --setpoint runs)
     --trip <C>         arm the reactive thermal trip at this hotspot
                        temperature
+    --seed <n>         simulation seed                    [default: 42]
+    --help             print this text
 
-FLEET OPTIONS:
-    --fleet <n>        run the cluster comparison over n rack-coupled
-                       machines instead of a single-machine scenario
-    --fleet-policy <p> restrict --fleet to one routing policy:
-                       round-robin | least-loaded | coolest-first |
-                       pinned-migrate          [default: compare all]
-    --jobs <n>         worker threads for the comparison  [default: all cores]
-    --chaos-plan <file> inject a fleet fault plan
-                       (`at <t>s machine <m>|rack <r>|all crash |
-                       crac <scale> <delta> | wedge`, optionally
-                       `for <span>`; directive `on-crash drop|redistribute`);
-                       excludes the checkpoint flags below
-    --checkpoint-every <n> write a durable checkpoint to results/.ckpt/
-                       every n control epochs; corrupt files are detected
-                       by checksum on restore            [default: off]
-    --no-checkpoint    never write checkpoints (excludes --checkpoint-every)
-    --restore          resume from the newest verifiable checkpoint,
-                       falling back past corrupt files; fails with a typed
-                       error when checkpoints exist but none verifies
+A fleet of rack-coupled machines runs with the `fleet` binary of
+dimetrodon-bench.
 ";
 
-/// The flags every run reads.
-const COMMON_FLAGS: &[Flag] = &[("--duration-secs", true), ("--seed", true)];
-
-/// The flags only a single-machine scenario reads.
-const SCENARIO_FLAGS: &[Flag] = &[
+/// The flags `dimetrodon-sim` accepts.
+const FLAGS: &[Flag] = &[
     ("--workload", true),
     ("--profile", true),
     ("--p", true),
     ("--l-ms", true),
     ("--deterministic", false),
     ("--setpoint", true),
+    ("--duration-secs", true),
     ("--scheduler", true),
     ("--smt", false),
     ("--placement", false),
@@ -232,24 +180,12 @@ const SCENARIO_FLAGS: &[Flag] = &[
     ("--faults", true),
     ("--sensor-noise", true),
     ("--trip", true),
-];
-
-/// The flags only a `--fleet` run reads.
-const FLEET_FLAGS: &[Flag] = &[
-    ("--fleet", true),
-    ("--fleet-policy", true),
-    ("--jobs", true),
-    ("--chaos-plan", true),
-    ("--checkpoint-every", true),
-    ("--no-checkpoint", false),
-    ("--restore", false),
+    ("--seed", true),
 ];
 
 impl Options {
-    /// Parses an argument list (without the program name). The list is
-    /// checked against the common flags plus the scenario flags, or plus
-    /// the fleet flags when `--fleet` is among them, so a flag the run
-    /// would ignore is an error.
+    /// Parses an argument list (without the program name), checked
+    /// against the flags in [`USAGE`].
     ///
     /// # Errors
     ///
@@ -260,28 +196,7 @@ impl Options {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let argv: Vec<String> = argv.into_iter().map(|a| a.as_ref().to_string()).collect();
-        let fleet = argv.iter().any(|a| a == "--fleet");
-        let (shape, other) = if fleet {
-            (FLEET_FLAGS, SCENARIO_FLAGS)
-        } else {
-            (SCENARIO_FLAGS, FLEET_FLAGS)
-        };
-        let accepted: Vec<Flag> = COMMON_FLAGS.iter().chain(shape).copied().collect();
-        let args = Args::parse(&argv, &accepted).map_err(|err| match err {
-            ArgsError::UnknownFlag(arg) => match other.iter().find(|(name, _)| *name == arg) {
-                Some(&(name, _)) if fleet => ArgsError::Exclusive(name, "--fleet"),
-                Some(&(name, _)) => ArgsError::Requires(name, "--fleet"),
-                None => ArgsError::UnknownFlag(arg),
-            },
-            err => err,
-        })?;
-        // The CLI's chaos runs drive the fleet directly, uncheckpointed.
-        for flag in ["--checkpoint-every", "--no-checkpoint", "--restore"] {
-            args.exclusive("--chaos-plan", flag)?;
-        }
-        args.exclusive("--checkpoint-every", "--no-checkpoint")?;
-
+        let args = Args::parse(argv, FLAGS)?;
         let defaults = Options::default();
         let profile_path = args.text("--profile").map(str::to_string);
         let workload = match args.value("--workload", WORKLOADS, |_: &WorkloadChoice| true)? {
@@ -322,26 +237,6 @@ impl Options {
             seed: args
                 .value("--seed", "an unsigned integer", |_: &u64| true)?
                 .unwrap_or(defaults.seed),
-            jobs: args.value("--jobs", "a positive worker count", |&n: &usize| n > 0)?,
-            fleet: args.value("--fleet", "a positive machine count", |&n: &usize| n > 0)?,
-            fleet_policy: args
-                .text("--fleet-policy")
-                .map(|raw| {
-                    PolicyKind::parse(raw).ok_or_else(|| ArgsError::BadValue {
-                        flag: "--fleet-policy",
-                        value: raw.to_string(),
-                        expected: "round-robin | least-loaded | coolest-first | pinned-migrate",
-                    })
-                })
-                .transpose()?,
-            chaos_plan_path: args.text("--chaos-plan").map(str::to_string),
-            checkpoint_every: args.value(
-                "--checkpoint-every",
-                "a positive epoch count",
-                |&n: &u64| n > 0,
-            )?,
-            no_checkpoint: args.has("--no-checkpoint"),
-            restore: args.has("--restore"),
         })
     }
 }
@@ -428,38 +323,42 @@ mod tests {
             );
         }
         assert_eq!(
-            Options::parse(["--p", "0.5", "--restore"]),
-            Err(ArgsError::Requires("--restore", "--fleet"))
-        );
-        assert_eq!(
-            Options::parse(["--jobs", "2"]),
-            Err(ArgsError::Requires("--jobs", "--fleet"))
-        );
-        assert_eq!(
-            Options::parse(["--fleet", "8", "--p", "0.5"]),
-            Err(ArgsError::Exclusive("--p", "--fleet"))
-        );
-        assert_eq!(
-            Options::parse(["--fleet", "4", "--chaos-plan", "p", "--checkpoint-every", "2"]),
-            Err(ArgsError::Exclusive("--chaos-plan", "--checkpoint-every"))
-        );
-        assert_eq!(
             Options::parse(["--profile", "app.profile", "--workload", "gcc"]),
             Err(ArgsError::Exclusive("--workload", "--profile"))
         );
     }
 
     #[test]
-    fn every_accepted_flag_is_documented() {
-        let flags: Vec<&str> = [COMMON_FLAGS, SCENARIO_FLAGS, FLEET_FLAGS]
-            .concat()
-            .iter()
-            .map(|&(name, _)| name)
-            .collect();
-        assert_eq!(flags.len(), 22);
-        for flag in flags {
+    fn the_fleet_flags_are_unknown() {
+        for argv in [
+            &["--fleet", "4"][..],
+            &["--fleet-policy", "coolest-first"],
+            &["--jobs", "2"],
+            &["--chaos-plan", "failures.plan"],
+            &["--checkpoint-every", "5"],
+            &["--no-checkpoint"],
+            &["--restore"],
+        ] {
+            assert_eq!(
+                Options::parse(argv),
+                Err(ArgsError::UnknownFlag(argv[0].into())),
+                "{argv:?}"
+            );
+            assert!(!USAGE.contains(argv[0]), "{} still in USAGE", argv[0]);
+        }
+    }
+
+    #[test]
+    fn every_accepted_flag_is_documented_in_one_shape() {
+        assert_eq!(FLAGS.len(), 15);
+        for &(flag, _) in FLAGS {
             assert!(USAGE.contains(&format!("    {flag} ")), "{flag} missing from USAGE");
         }
+        let shapes: Vec<&str> = USAGE
+            .lines()
+            .filter(|line| line.trim_start().starts_with("dimetrodon-sim ["))
+            .collect();
+        assert_eq!(shapes, ["    dimetrodon-sim [OPTIONS]"]);
     }
 
     #[test]
@@ -513,50 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_flags_parse_and_validate() {
-        let o = Options::parse([
-            "--fleet", "64", "--fleet-policy", "coolest-first", "--jobs", "8",
-            "--checkpoint-every", "25", "--restore",
-        ])
-        .unwrap();
-        assert_eq!(o.fleet, Some(64));
-        assert_eq!(o.fleet_policy, Some(PolicyKind::CoolestFirst));
-        assert_eq!(o.jobs, Some(8));
-        assert_eq!(o.checkpoint_every, Some(25));
-        assert!(o.restore && !o.no_checkpoint);
-        assert!(crate::fleet_checkpoint_spec(&o).is_some_and(|spec| spec.restore && spec.every_epochs == 25));
-        let o = Options::parse(["--fleet", "4", "--no-checkpoint"]).unwrap();
-        assert!(o.no_checkpoint && o.checkpoint_every.is_none());
-        assert!(crate::fleet_checkpoint_spec(&o).is_none());
-        let o = Options::parse(["--fleet", "8", "--chaos-plan", "chaos.txt", "--no-checkpoint"]);
-        assert_eq!(
-            o,
-            Err(ArgsError::Exclusive("--chaos-plan", "--no-checkpoint"))
-        );
-        let o = Options::parse(["--fleet", "8", "--chaos-plan", "chaos.txt"]).unwrap();
-        assert_eq!(o.chaos_plan_path.as_deref(), Some("chaos.txt"));
-        for (argv, flag) in [
-            (&["--fleet", "0"][..], "--fleet"),
-            (&["--fleet", "4", "--jobs", "0"], "--jobs"),
-            (&["--fleet", "8", "--fleet-policy", "hottest-first"], "--fleet-policy"),
-            (&["--fleet", "4", "--checkpoint-every", "0"], "--checkpoint-every"),
-        ] {
-            assert!(
-                matches!(Options::parse(argv), Err(ArgsError::BadValue { flag: f, .. }) if f == flag),
-                "{argv:?}"
-            );
-        }
-        assert_eq!(
-            Options::parse(["--fleet", "8", "--chaos-plan"]),
-            Err(ArgsError::MissingValue { flag: "--chaos-plan" })
-        );
-        assert_eq!(
-            Options::parse(["--fleet", "4", "--checkpoint-every", "5", "--no-checkpoint"]),
-            Err(ArgsError::Exclusive("--checkpoint-every", "--no-checkpoint"))
-        );
-    }
-
-    #[test]
     fn error_display() {
         let e = ArgsError::BadValue {
             flag: "--p",
@@ -568,8 +423,8 @@ mod tests {
             .to_string()
             .contains("--seed"));
         assert_eq!(
-            ArgsError::Requires("--restore", "--fleet").to_string(),
-            "--restore requires --fleet"
+            ArgsError::Exclusive("--workload", "--profile").to_string(),
+            "--workload and --profile are mutually exclusive"
         );
     }
 

@@ -15,10 +15,8 @@
 //! ```
 
 mod args;
-mod fleet;
 mod report;
 
 pub use args::{Options, SchedulerChoice, WorkloadChoice, USAGE};
 pub use dimetrodon_harness::args::ArgsError;
-pub use fleet::{compared_policies, fleet_checkpoint_spec, fleet_config, run_fleet_scenario};
 pub use report::{run_scenario, Report, ScenarioError};

@@ -26,29 +26,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(jobs) = options.jobs {
-        dimetrodon_harness::sweep::set_jobs(jobs);
-    }
-
-    if options.fleet.is_some() {
-        println!(
-            "running fleet comparison ({}) for {} (seed {})...",
-            dimetrodon_cli::compared_policies(&options).join(", "),
-            options.duration,
-            options.seed
-        );
-        return match dimetrodon_cli::run_fleet_scenario(&options) {
-            Ok(rendered) => {
-                print!("{rendered}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     println!(
         "running {:?} for {} (seed {})...",
         options.workload, options.duration, options.seed

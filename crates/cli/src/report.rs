@@ -61,12 +61,6 @@ pub enum ScenarioError {
     Profile(String),
     /// `--faults` was passed without a readable, valid fault plan.
     Faults(String),
-    /// `--chaos-plan` was passed without a readable, valid fleet fault
-    /// plan (or one that names machines/racks outside the fleet).
-    Chaos(String),
-    /// `--restore` found fleet checkpoint files but none verified; the
-    /// wrapped message is the typed `CkptError` rendering.
-    Checkpoint(String),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -75,8 +69,6 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Machine(e) => write!(f, "{e}"),
             ScenarioError::Profile(reason) => write!(f, "profile: {reason}"),
             ScenarioError::Faults(reason) => write!(f, "faults: {reason}"),
-            ScenarioError::Chaos(reason) => write!(f, "chaos plan: {reason}"),
-            ScenarioError::Checkpoint(reason) => write!(f, "checkpoint: {reason}"),
         }
     }
 }

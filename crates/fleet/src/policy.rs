@@ -459,7 +459,7 @@ impl<P: RoutePolicy> RoutePolicy for FailoverPolicy<P> {
 }
 
 /// The policy variants the fleet experiment compares. A plain enum so
-/// CSV rows, journal lines, and CLI flags all name the same set.
+/// CSV rows and journal records name the same set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// [`RoundRobin`].
@@ -490,11 +490,6 @@ impl PolicyKind {
             PolicyKind::CoolestFirst => "coolest-first",
             PolicyKind::PinnedMigrate => "pinned-migrate",
         }
-    }
-
-    /// Parses a stable name back into the variant.
-    pub fn parse(name: &str) -> Option<PolicyKind> {
-        PolicyKind::ALL.into_iter().find(|kind| kind.name() == name)
     }
 
     /// Builds a fresh policy instance for a run over `config`.
@@ -664,12 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip_and_match_built_policies() {
+    fn kind_names_match_built_policies() {
         let config = FleetConfig::rack_scale(4, 9);
         for kind in PolicyKind::ALL {
-            assert_eq!(PolicyKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.build(&config).name(), kind.name());
         }
-        assert_eq!(PolicyKind::parse("nope"), None);
     }
 }

@@ -48,8 +48,6 @@ pub enum ArgsError {
     UnknownFlag(String),
     /// Two flags that cannot be combined were both passed.
     Exclusive(&'static str, &'static str),
-    /// The first flag is accepted only together with the second.
-    Requires(&'static str, &'static str),
     /// `--help` (or `-h`) was passed.
     HelpRequested,
 }
@@ -65,7 +63,6 @@ impl fmt::Display for ArgsError {
             } => write!(f, "bad value `{value}` for {flag} (expected {expected})"),
             ArgsError::UnknownFlag(flag) => write!(f, "unknown argument `{flag}`"),
             ArgsError::Exclusive(a, b) => write!(f, "{a} and {b} are mutually exclusive"),
-            ArgsError::Requires(a, b) => write!(f, "{a} requires {b}"),
             ArgsError::HelpRequested => write!(f, "help requested"),
         }
     }

@@ -11,6 +11,8 @@
 //!   core-second; **throughput reduction** is relative to the
 //!   unconstrained run of the same workload.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use dimetrodon::{DimetrodonHook, InjectionModel, InjectionParams, PolicyHandle};
 use dimetrodon_machine::{Machine, MachineConfig};
 use dimetrodon_power::PStateId;
@@ -233,11 +235,57 @@ pub fn characterize_on(
     actuation: Actuation,
     config: RunConfig,
 ) -> RunOutcome {
+    let (mut system, ids, idle_temp) = start_run(machine_config, workload, actuation, config);
+    system.run_until(SimTime::ZERO + config.duration);
+    measure(&system, &ids, idle_temp, config)
+}
+
+/// Events a [`characterize_on_until_cancelled`] run dispatches between
+/// two looks at its flag: a few milliseconds of wall clock.
+const CANCEL_CHECK_EVENTS: u64 = 10_000;
+
+/// [`characterize_on`] driven through [`System::run_events`] in chunks,
+/// returning `None` at the first chunk boundary after `cancel` is set:
+/// how the sweep supervisor stops an attempt it has given up on. A run
+/// whose flag stays clear is bit-identical to [`characterize_on`], since
+/// chunked `run_events` finished by `run_until` is one `run_until`.
+pub(crate) fn characterize_on_until_cancelled(
+    machine_config: &MachineConfig,
+    workload: SaturatingWorkload,
+    actuation: Actuation,
+    config: RunConfig,
+    cancel: &AtomicBool,
+) -> Option<RunOutcome> {
+    let (mut system, ids, idle_temp) = start_run(machine_config, workload, actuation, config);
+    let end = SimTime::ZERO + config.duration;
+    loop {
+        if cancel.load(Ordering::Relaxed) {
+            return None;
+        }
+        if system.run_events(CANCEL_CHECK_EVENTS, end) < CANCEL_CHECK_EVENTS {
+            break;
+        }
+    }
+    system.run_until(end);
+    Some(measure(&system, &ids, idle_temp, config))
+}
+
+/// The cold system of a characterisation run with one workload instance
+/// spawned per core, its threads, and its idle temperature.
+fn start_run(
+    machine_config: &MachineConfig,
+    workload: SaturatingWorkload,
+    actuation: Actuation,
+    config: RunConfig,
+) -> (System, Vec<ThreadId>, f64) {
     let (mut system, _policy) = build_system_on(machine_config, actuation, config.seed);
     let ids = workload.spawn_on(&mut system);
     let idle_temp = system.machine().idle_temperature();
-    system.run_until(SimTime::ZERO + config.duration);
+    (system, ids, idle_temp)
+}
 
+/// The measurements of a characterisation run that reached its end.
+fn measure(system: &System, ids: &[ThreadId], idle_temp: f64, config: RunConfig) -> RunOutcome {
     // The paper's temperature metric: coretemp reads taken by the
     // monitoring process, which land at scheduling boundaries.
     #[expect(clippy::expect_used, reason = "the run covers the measure window")]
@@ -435,6 +483,57 @@ mod tests {
             (full_fan - half_fan).abs() < 0.06,
             "fan invariance violated: {full_fan} vs {half_fan}"
         );
+    }
+
+    #[test]
+    fn a_run_cancelled_before_it_starts_returns_no_outcome() {
+        let cancel = AtomicBool::new(true);
+        let machine = MachineConfig::xeon_e5520();
+        let outcome = characterize_on_until_cancelled(
+            &machine,
+            SaturatingWorkload::CpuBurn,
+            Actuation::None,
+            quick(),
+            &cancel,
+        );
+        assert!(outcome.is_none());
+    }
+
+    #[test]
+    fn an_uncancelled_chunked_run_is_bit_identical_to_characterize_on() {
+        // 100 s of injected cpuburn dispatches several chunks of events.
+        let machine = MachineConfig::xeon_e5520();
+        let actuation = Actuation::Injection {
+            params: InjectionParams::new(0.5, SimDuration::from_millis(5)),
+            model: InjectionModel::Probabilistic,
+        };
+        let plain = characterize_on(&machine, SaturatingWorkload::CpuBurn, actuation, quick());
+        let chunked = characterize_on_until_cancelled(
+            &machine,
+            SaturatingWorkload::CpuBurn,
+            actuation,
+            quick(),
+            &AtomicBool::new(false),
+        )
+        .expect("a run whose flag stays clear completes");
+        assert_eq!(plain.idle_temp.to_bits(), chunked.idle_temp.to_bits());
+        assert_eq!(plain.tail_temp.to_bits(), chunked.tail_temp.to_bits());
+        assert_eq!(plain.throughput.to_bits(), chunked.throughput.to_bits());
+        assert_eq!(plain.injected_idles, chunked.injected_idles);
+        let curve = |o: &RunOutcome| {
+            o.observed_curve
+                .iter()
+                .map(|(t, v)| (t.to_bits(), v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(curve(&plain), curve(&chunked));
+        let series = |o: &RunOutcome| {
+            o.temp_series
+                .iter()
+                .map(|(t, v)| (t, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(series(&plain), series(&chunked));
     }
 
     #[test]

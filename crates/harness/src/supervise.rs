@@ -12,8 +12,9 @@
 //!   keep the rest of the grid running, surfacing the failure as a
 //!   [`PointOutcome::Panicked`] and an [`Incident`] instead of an abort
 //!   (`--strict` restores the abort-on-panic behaviour bit-for-bit);
-//! * enforce a **per-point deadline** via a watchdog thread and a
-//!   **sweep-level time budget**, so a pathological `(p, L)` point times
+//! * enforce a **per-point deadline** via a watchdog thread, which stops
+//!   an attempt it times out at that attempt's next chunk of events, and
+//!   a **sweep-level time budget**, so a pathological `(p, L)` point times
 //!   out ([`PointOutcome::TimedOut`]) or is skipped
 //!   ([`PointOutcome::Skipped`]) instead of hanging `run_all`;
 //! * **retry** transiently failing points a bounded number of times with
@@ -32,7 +33,8 @@
 //! Supervision never changes *values*, only *availability*. A point that
 //! completes produces exactly the outcome the bare pool would have
 //! produced: quarantine is `catch_unwind` around the same call, the
-//! watchdog runs the point on a dedicated thread with the same inputs,
+//! watchdog runs the point on a dedicated thread with the same inputs
+//! (in chunks of events, which are bit-identical to one uninterrupted run),
 //! and replay restores the journaled outcome bit-for-bit (floats
 //! travel as IEEE-754 bit patterns, never through decimal, under a
 //! per-record checksum). Wall-clock
@@ -47,16 +49,15 @@
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use std::time::Instant;
 
 use dimetrodon_ckpt::{fnv1a64, CkptError, Dec, Enc, Journal};
 use dimetrodon_sim_core::{derive_seed, SimTime, TimeSeries};
 
-use crate::runner::{characterize_on, RunOutcome};
+use crate::runner::{characterize_on, characterize_on_until_cancelled, RunOutcome};
 use crate::sweep::{parallel_map_with, SweepPoint};
 
 /// What the supervisor does when a point panics.
@@ -71,7 +72,7 @@ pub enum PanicPolicy {
 }
 
 /// Configuration of the supervision layer, installed globally with
-/// [`install`] (the bench binaries and CLI build one from their flags)
+/// [`install`] (the bench binaries build one from their flags)
 /// and consulted by [`crate::sweep::run_sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
@@ -460,16 +461,16 @@ fn run_attempt(
     config: &SupervisorConfig,
 ) -> Result<RunOutcome, AttemptError> {
     let prepared = attempt_point(point, index, attempt);
-    let run = move || {
-        characterize_on(
-            &prepared.machine,
-            prepared.workload,
-            prepared.actuation,
-            prepared.config,
-        )
-    };
     match config.point_deadline {
         None => {
+            let run = move || {
+                characterize_on(
+                    &prepared.machine,
+                    prepared.workload,
+                    prepared.actuation,
+                    prepared.config,
+                )
+            };
             if config.policy == PanicPolicy::Strict {
                 return Ok(run());
             }
@@ -477,6 +478,19 @@ fn run_attempt(
                 .map_err(|payload| AttemptError::Panicked(panic_message(payload.as_ref())))
         }
         Some(deadline) => {
+            // Set when the deadline passes, so the abandoned attempt stops
+            // at its next chunk of events instead of simulating on.
+            let cancel = Arc::new(AtomicBool::new(false));
+            let cancelled = Arc::clone(&cancel);
+            let run = move || {
+                characterize_on_until_cancelled(
+                    &prepared.machine,
+                    prepared.workload,
+                    prepared.actuation,
+                    prepared.config,
+                    &cancelled,
+                )
+            };
             let (tx, rx) = mpsc::channel();
             let spawned = std::thread::Builder::new()
                 .name(format!("sweep-watchdog-{index}-{attempt}"))
@@ -497,12 +511,15 @@ fn run_attempt(
                 }
             };
             match rx.recv_timeout(deadline) {
-                Ok(Ok(outcome)) => {
+                Ok(Ok(Some(outcome))) => {
                     // The attempt finished; the thread is done or moments
                     // from it — joining cannot block meaningfully.
                     drop(handle.join());
                     Ok(outcome)
                 }
+                // Only the deadline below sets the flag, so an attempt
+                // cannot come back cancelled before it; read it as one.
+                Ok(Ok(None)) => Err(AttemptError::TimedOut),
                 Ok(Err(payload)) => {
                     drop(handle.join());
                     if config.policy == PanicPolicy::Strict {
@@ -512,8 +529,10 @@ fn run_attempt(
                 }
                 Err(_) => {
                     // Deadline passed: abandon the attempt. The detached
-                    // thread finishes (or hangs) on its own and its send
+                    // thread returns at its next chunk of events (a point
+                    // hung inside one event hangs on its own) and its send
                     // fails harmlessly into a dropped channel.
+                    cancel.store(true, Ordering::Relaxed);
                     drop(handle);
                     Err(AttemptError::TimedOut)
                 }

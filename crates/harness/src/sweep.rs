@@ -16,7 +16,7 @@
 //! The pool is `std::thread::scope` plus a shared atomic work index — no
 //! runtime dependencies. Worker count defaults to
 //! [`std::thread::available_parallelism`] and can be overridden globally
-//! with [`set_jobs`] (the `--jobs N` flag of the bench binaries and CLI),
+//! with [`set_jobs`] (the `--jobs N` flag of the bench binaries),
 //! or per-call with [`parallel_map_with`] (which is what tests use, so a
 //! concurrently running test can never flip another sweep's worker count
 //! through the shared global).
@@ -222,7 +222,7 @@ impl SweepPoint {
 /// outcomes in point order.
 ///
 /// When a [`supervise::SupervisorConfig`] is installed (the bench binaries
-/// and CLI install one from their flags), each point runs under the
+/// install one from their flags), each point runs under the
 /// supervision layer: panics are quarantined instead of aborting the
 /// sweep, points can carry deadlines and bounded retries, and completed
 /// points are journaled to disk so an interrupted run resumes without
