@@ -16,7 +16,7 @@
 
 use dimetrodon::model::predicted_runtime;
 use dimetrodon::{
-    DimetrodonHook, InjectionModel, InjectionParams, PolicyHandle, PowerCapController,
+    DimetrodonHook, InjectionModel, InjectionParams, PolicyHandle, SetpointController,
     SmtCoScheduler,
 };
 use dimetrodon_analysis::Table;
@@ -384,7 +384,7 @@ fn power_cap(table: &mut Table) {
         machine.settle_idle();
         let hook = DimetrodonHook::new(PolicyHandle::new(), 600 + quantum_ms);
         let controller =
-            PowerCapController::new(hook, 45.0, SimDuration::from_millis(quantum_ms));
+            SetpointController::power_cap(hook, 45.0, SimDuration::from_millis(quantum_ms));
         let mut system = System::new(machine);
         system.set_hook(Box::new(controller));
         for _ in 0..4 {

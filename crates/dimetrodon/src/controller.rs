@@ -1,11 +1,22 @@
-//! Closed-loop preventive thermal control (beyond-the-paper extension).
+//! Closed-loop injection control: thermal setpoints and power caps
+//! (beyond-the-paper extensions).
 //!
 //! The paper evaluates *static* `(p, L)` policies and notes that idle
 //! cycle injection "can be adjusted online according to the thermal
 //! profile and performance constraints of the application" (§2). This
 //! module supplies that deployment mode: a [`SetpointController`] wraps
 //! the [`DimetrodonHook`] and adapts the global injection probability once
-//! per tick so the mean core temperature tracks a setpoint.
+//! per tick so a measured quantity tracks a setpoint — the mean core
+//! temperature ([`SetpointController::new`]) or the package power
+//! ([`SetpointController::power_cap`]).
+//!
+//! The power target is the paper's §4 bridge to Gandhi et al.'s
+//! scheduler-level power capping — the same injection mechanism driven by
+//! a power budget, which Google later landed in Linux — and makes its
+//! remark testable that "rearchitecting the power-capping mechanism to use
+//! shorter idle quanta would provide thermally-beneficial side-effects":
+//! the `power_cap` section of the `ablations` binary compares the
+//! temperature that falls out at different quantum lengths under one cap.
 //!
 //! The controller is a clamped integral controller on `p`: steady-state
 //! error-free for constant loads, and intrinsically bounded because `p`
@@ -13,7 +24,7 @@
 //!
 //! # Degradation awareness
 //!
-//! Temperature flows in through a [`Telemetry`] source (exact passthrough
+//! Readings flow in through a [`Telemetry`] source (exact passthrough
 //! by default) and a [`TelemetryFilter`] (transparent by default). Under
 //! the default configuration the behaviour is bit-identical to the
 //! original raw-reading controller; a hardened configuration
@@ -27,14 +38,23 @@
 use dimetrodon_faults::{IdealTelemetry, Telemetry};
 use dimetrodon_machine::Machine;
 use dimetrodon_sched::{Decision, SchedHook, ScheduleContext};
-use dimetrodon_sim_core::{sim_invariant, SimDuration, SimTime};
+use dimetrodon_sim_core::{SimDuration, SimTime};
 
 use crate::harden::{Signal, TelemetryFilter};
 use crate::hook::DimetrodonHook;
 use crate::policy::InjectionParams;
 
+/// The quantity a [`SetpointController`] holds at its setpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// Mean core temperature, °C.
+    MeanCoreTemperature,
+    /// Package power, W.
+    PackagePower,
+}
+
 /// An integral controller that adapts the global injection probability to
-/// hold the mean core temperature at a setpoint.
+/// hold the mean core temperature, or the package power, at a setpoint.
 ///
 /// # Examples
 ///
@@ -50,13 +70,19 @@ use crate::policy::InjectionParams;
 ///     SimDuration::from_millis(25),    // idle quantum L
 /// );
 /// assert_eq!(controller.setpoint(), 45.0);
+///
+/// let hook = DimetrodonHook::new(PolicyHandle::new(), 7);
+/// let cap = SetpointController::power_cap(hook, 50.0, SimDuration::from_millis(10));
+/// assert_eq!(cap.setpoint(), 50.0); // W
 /// ```
 #[derive(Debug)]
 pub struct SetpointController {
     inner: DimetrodonHook,
-    setpoint_celsius: f64,
+    target: Target,
+    /// The setpoint in the target's unit: °C or W.
+    setpoint: f64,
     quantum: SimDuration,
-    /// Integral gain: Δp per °C of error per tick.
+    /// Integral gain: Δp per unit of error (°C or W) per tick.
     gain: f64,
     p_max: f64,
     p: f64,
@@ -67,26 +93,70 @@ pub struct SetpointController {
 }
 
 impl SetpointController {
-    /// Default integral gain (Δp per °C error per tick).
+    /// Default integral gain of a temperature target (Δp per °C error per
+    /// tick).
     pub const DEFAULT_GAIN: f64 = 0.02;
-    /// Default upper bound on the controlled probability.
+    /// Default upper bound on the controlled probability of a temperature
+    /// target.
     pub const DEFAULT_P_MAX: f64 = 0.9;
+    /// Default integral gain of a [power cap](Self::power_cap) (Δp per
+    /// watt of excess per tick).
+    pub const POWER_CAP_GAIN: f64 = 0.01;
+    /// Default upper bound on the controlled probability of a
+    /// [power cap](Self::power_cap).
+    pub const POWER_CAP_P_MAX: f64 = 0.95;
 
-    /// Creates a controller around a hook, targeting `setpoint_celsius`
-    /// with idle quanta of length `quantum`.
+    /// Creates a controller around a hook, holding the mean core
+    /// temperature at `setpoint_celsius` with idle quanta of length
+    /// `quantum`.
     ///
     /// # Panics
     ///
     /// Panics if `quantum` is zero or `setpoint_celsius` is not finite.
     pub fn new(inner: DimetrodonHook, setpoint_celsius: f64, quantum: SimDuration) -> Self {
-        assert!(!quantum.is_zero(), "idle quantum must be positive");
         assert!(setpoint_celsius.is_finite(), "setpoint must be finite");
-        SetpointController {
+        Self::for_target(
             inner,
+            Target::MeanCoreTemperature,
             setpoint_celsius,
             quantum,
-            gain: Self::DEFAULT_GAIN,
-            p_max: Self::DEFAULT_P_MAX,
+        )
+    }
+
+    /// Creates a controller around a hook, holding package power at
+    /// `cap_watts` with idle quanta of length `quantum` (power capping by
+    /// forced idleness).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap_watts` is not positive and finite or `quantum` is
+    /// zero.
+    pub fn power_cap(inner: DimetrodonHook, cap_watts: f64, quantum: SimDuration) -> Self {
+        assert!(
+            cap_watts > 0.0 && cap_watts.is_finite(),
+            "cap must be positive and finite"
+        );
+        Self::for_target(inner, Target::PackagePower, cap_watts, quantum)
+    }
+
+    fn for_target(
+        inner: DimetrodonHook,
+        target: Target,
+        setpoint: f64,
+        quantum: SimDuration,
+    ) -> Self {
+        assert!(!quantum.is_zero(), "idle quantum must be positive");
+        let (gain, p_max) = match target {
+            Target::MeanCoreTemperature => (Self::DEFAULT_GAIN, Self::DEFAULT_P_MAX),
+            Target::PackagePower => (Self::POWER_CAP_GAIN, Self::POWER_CAP_P_MAX),
+        };
+        SetpointController {
+            inner,
+            target,
+            setpoint,
+            quantum,
+            gain,
+            p_max,
             p: 0.0,
             telemetry: Box::new(IdealTelemetry),
             filter: TelemetryFilter::passthrough(),
@@ -119,7 +189,7 @@ impl SetpointController {
         self
     }
 
-    /// Replaces the telemetry source the controller reads temperature
+    /// Replaces the telemetry source the controller reads its target
     /// through (default: exact passthrough).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Box<dyn Telemetry>) -> Self {
@@ -134,9 +204,10 @@ impl SetpointController {
         self
     }
 
-    /// The temperature setpoint, °C.
+    /// The setpoint in the target's unit: °C for a temperature target, W
+    /// for a [power cap](Self::power_cap).
     pub fn setpoint(&self) -> f64 {
-        self.setpoint_celsius
+        self.setpoint
     }
 
     /// The currently commanded injection probability.
@@ -154,8 +225,8 @@ impl SetpointController {
         &self.filter
     }
 
-    /// Ticks spent with telemetry lost, preventive injection ceded to
-    /// the reactive trip.
+    /// Ticks spent with telemetry lost and injection suspended (thermal
+    /// protection ceded to the reactive trip).
     pub fn fallback_ticks(&self) -> u64 {
         self.fallback_ticks
     }
@@ -172,10 +243,13 @@ impl SchedHook for SetpointController {
     }
 
     fn on_tick(&mut self, now: SimTime, machine: &Machine) {
-        let raw = self.telemetry.mean_core_temperature(machine, now);
+        let raw = match self.target {
+            Target::MeanCoreTemperature => self.telemetry.mean_core_temperature(machine, now),
+            Target::PackagePower => self.telemetry.package_power(machine, now),
+        };
         match self.filter.ingest(raw) {
-            Signal::Reading(temperature) => {
-                let error = temperature - self.setpoint_celsius;
+            Signal::Reading(reading) => {
+                let error = reading - self.setpoint;
                 // The integrator *is* `p`; the clamp is its anti-windup
                 // bound — without it an unreachable setpoint would
                 // integrate without limit.
@@ -184,14 +258,13 @@ impl SchedHook for SetpointController {
             // Anti-windup freeze: a bad sample moves nothing.
             Signal::Hold => {}
             Signal::Lost => {
-                // Telemetry is gone: stop flying blind. Cease preventive
-                // injection and leave thermal protection to the machine's
-                // reactive trip.
+                // Telemetry is gone: stop flying blind. Cease injection and
+                // leave thermal protection to the machine's reactive trip.
                 self.p = 0.0;
                 self.fallback_ticks += 1;
             }
         }
-        sim_invariant!(
+        debug_assert!(
             self.p.is_finite() && (0.0..=self.p_max).contains(&self.p),
             "injection probability left [0, p_max]: {}",
             self.p
@@ -425,5 +498,140 @@ mod tests {
         assert_eq!(c.setpoint(), 45.0);
         assert_eq!(c.current_p(), 0.0);
         assert_eq!(c.hook().decisions(), 0);
+        let hook = DimetrodonHook::new(PolicyHandle::new(), 0);
+        let cap =
+            SetpointController::power_cap(hook, 55.0, SimDuration::from_millis(10)).with_gain(0.02);
+        assert_eq!(cap.setpoint(), 55.0);
+        assert_eq!(cap.current_p(), 0.0);
+        assert_eq!(cap.hook().decisions(), 0);
+    }
+
+    // --- Power target ---------------------------------------------------
+
+    fn capped_system(cap_watts: f64, quantum_ms: u64) -> System {
+        let mut machine = Machine::new(MachineConfig::xeon_e5520()).unwrap();
+        machine.settle_idle();
+        let hook = DimetrodonHook::new(PolicyHandle::new(), 21);
+        let controller =
+            SetpointController::power_cap(hook, cap_watts, SimDuration::from_millis(quantum_ms));
+        let mut system = System::new(machine);
+        system.set_hook(Box::new(controller));
+        for _ in 0..4 {
+            system.spawn(ThreadKind::User, Box::new(Spin::new(1.0)));
+        }
+        system
+    }
+
+    /// Mean package power over the tail, measured by stepping in short
+    /// runs (the instantaneous value flickers with injection).
+    fn tail_mean_power(system: &mut System, from_s: u64, to_s: u64) -> f64 {
+        let mut sum = 0.0;
+        let mut n = 0;
+        for s in from_s..to_s {
+            system.run_until(SimTime::from_secs(s));
+            sum += system.machine().package_power();
+            n += 1;
+        }
+        sum / n as f64
+    }
+
+    #[test]
+    fn holds_the_cap_under_full_load() {
+        // Full load wants ~72 W; cap it at 45 W.
+        let mut system = capped_system(45.0, 10);
+        system.run_until(SimTime::from_secs(60)); // converge
+        let mean = tail_mean_power(&mut system, 60, 120);
+        assert!(
+            (40.0..50.0).contains(&mean),
+            "capped mean power {mean} W (target 45)"
+        );
+    }
+
+    #[test]
+    fn stays_off_below_the_cap() {
+        // Cap far above anything the machine draws: no injection.
+        let mut system = capped_system(200.0, 10);
+        system.run_until(SimTime::from_secs(30));
+        assert_eq!(system.total_injected_idles(), 0);
+    }
+
+    #[test]
+    fn shorter_quanta_run_cooler_at_the_same_cap() {
+        // The §4 claim: at an equal power cap, shorter idle quanta leave
+        // the machine cooler as observed by the monitor.
+        let observed = |quantum_ms: u64| {
+            let mut system = capped_system(45.0, quantum_ms);
+            system.run_until(SimTime::from_secs(150));
+            system
+                .observed_temp_over(SimTime::from_secs(100))
+                .expect("samples")
+        };
+        let short = observed(5);
+        let long = observed(100);
+        assert!(
+            short < long - 0.5,
+            "short quanta should be thermally beneficial: {short} vs {long}"
+        );
+    }
+
+    #[test]
+    fn power_cap_saturates_at_its_p_max_for_unreachable_caps() {
+        // Regression: a 1 W cap can never be met (idle floor ≈ 12 W);
+        // p must saturate exactly at the clamp, never beyond.
+        let mut m = Machine::new(MachineConfig::xeon_e5520()).unwrap();
+        m.settle_idle();
+        let policy = PolicyHandle::new();
+        let hook = DimetrodonHook::new(policy.clone(), 5);
+        let mut controller = SetpointController::power_cap(hook, 1.0, SimDuration::from_millis(10));
+        for s in 0..400u64 {
+            controller.on_tick(SimTime::from_secs(s), &m);
+            let p = controller.current_p();
+            assert!(p.is_finite() && p <= SetpointController::POWER_CAP_P_MAX);
+        }
+        assert!(
+            (controller.current_p() - SetpointController::POWER_CAP_P_MAX).abs() < 1e-12,
+            "p must sit exactly at the clamp"
+        );
+    }
+
+    #[test]
+    fn lost_power_meter_suspends_capping() {
+        use crate::harden::TelemetryFilter;
+        use dimetrodon_faults::{FaultKind, FaultPlan, FaultTarget, FaultyTelemetry, SensorSpec};
+
+        let mut m = Machine::new(MachineConfig::xeon_e5520()).unwrap();
+        m.settle_idle();
+        let plan = FaultPlan::new().with(
+            SimTime::from_secs(20),
+            FaultTarget::All,
+            FaultKind::Dropout,
+            None,
+        );
+        let policy = PolicyHandle::new();
+        let hook = DimetrodonHook::new(policy.clone(), 5);
+        let mut controller = SetpointController::power_cap(hook, 1.0, SimDuration::from_millis(10))
+            .with_telemetry(Box::new(FaultyTelemetry::new(
+                SensorSpec::ideal(),
+                plan,
+                13,
+            )))
+            .with_filter(TelemetryFilter::hardened());
+        for s in 0..40u64 {
+            controller.on_tick(SimTime::from_secs(s), &m);
+        }
+        assert_eq!(
+            controller.current_p(),
+            0.0,
+            "capping must stop when the meter is lost"
+        );
+        assert_eq!(policy.global(), None);
+        assert!(controller.fallback_ticks() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cap must be positive")]
+    fn zero_cap_panics() {
+        let hook = DimetrodonHook::new(PolicyHandle::new(), 0);
+        SetpointController::power_cap(hook, 0.0, SimDuration::from_millis(10));
     }
 }

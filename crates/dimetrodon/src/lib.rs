@@ -21,7 +21,8 @@
 //!   defaults, per-thread overrides, kernel-thread exemption;
 //! * [`model`] — the §2.2 analytic throughput and energy models;
 //! * [`SetpointController`] — a beyond-the-paper closed-loop mode that
-//!   adapts `p` online to hold a temperature setpoint, reading through a
+//!   adapts `p` online to hold a temperature setpoint or a package power
+//!   cap (§4's power capping by forced idleness), reading through a
 //!   pluggable telemetry source and a degradation-aware
 //!   [`TelemetryFilter`] (median filtering, outlier rejection,
 //!   anti-windup freeze, fallback to the reactive trip);
@@ -64,7 +65,6 @@ mod hook;
 pub mod model;
 mod planner;
 mod policy;
-mod powercap;
 mod smt;
 
 pub use controller::SetpointController;
@@ -72,5 +72,4 @@ pub use harden::{Signal, TelemetryFilter};
 pub use hook::DimetrodonHook;
 pub use policy::{InjectionModel, InjectionParams, PolicyHandle, PolicyTable};
 pub use planner::{PlanError, PolicyPlanner, PowerLawTradeoff};
-pub use powercap::PowerCapController;
 pub use smt::SmtCoScheduler;

@@ -8,7 +8,7 @@
 //! bit-identical to a run without the fault layer at all.
 
 use dimetrodon_machine::{CoreId, Machine};
-use dimetrodon_sim_core::{sim_invariant, SimDuration, SimRng, SimTime};
+use dimetrodon_sim_core::{SimDuration, SimRng, SimTime};
 
 use crate::plan::FaultPlan;
 
@@ -186,7 +186,7 @@ impl SensorModel {
         if self.spec.quantum_celsius > 0.0 {
             value = (value / self.spec.quantum_celsius).round() * self.spec.quantum_celsius;
         }
-        sim_invariant!(
+        debug_assert!(
             value.is_finite(),
             "degraded sensor reading must stay finite, got {value}"
         );
@@ -220,7 +220,7 @@ impl SensorModel {
         if self.spec.power_noise_sigma > 0.0 {
             value += self.rng.normal(0.0, self.spec.power_noise_sigma);
         }
-        sim_invariant!(
+        debug_assert!(
             value.is_finite(),
             "degraded power reading must stay finite, got {value}"
         );

@@ -102,7 +102,7 @@ proptest! {
     /// recorded series stays finite, the machine's temperatures stay
     /// finite, and the commanded p stays inside [0, p_max].
     #[test]
-    fn any_plan_preserves_sim_invariants(plan in plan_strategy(), seed in 0u64..1000) {
+    fn any_plan_preserves_core_invariants(plan in plan_strategy(), seed in 0u64..1000) {
         let (mut system, policy) = faulted_system(&plan, seed);
         system.run_until(SimTime::from_secs(RUN_SECS));
 

@@ -33,7 +33,7 @@ use dimetrodon_ckpt::{check_len, CkptError, Dec, Enc, State};
 use dimetrodon_faults::CrashBacklog;
 use dimetrodon_machine::{CoreId, Machine};
 use dimetrodon_power::CoreState;
-use dimetrodon_sim_core::{sim_invariant, SimDuration, SimRng, SimTime};
+use dimetrodon_sim_core::{SimDuration, SimRng, SimTime};
 use dimetrodon_workload::{QosStats, WebConfig};
 
 use crate::config::FleetConfig;
@@ -498,7 +498,7 @@ impl Fleet {
             if self.collect_chaos {
                 self.stats.served_cpu_s += served;
             }
-            sim_invariant!(
+            debug_assert!(
                 self.backlog_cpu_s[machine] >= 0.0 && self.backlog_cpu_s[machine].is_finite(),
                 "machine {machine} backlog must stay finite and non-negative, got {}",
                 self.backlog_cpu_s[machine]
@@ -577,7 +577,7 @@ impl Fleet {
                     .record_recovery_secs(epochs as f64 * epoch_secs);
                 self.stats.recoveries_fed += 1;
             }
-            sim_invariant!(
+            debug_assert!(
                 self.stats.arrived_requests
                     == self.stats.routed_requests + self.stats.shed_requests,
                 "request conservation: {} arrived != {} routed + {} shed",
@@ -585,11 +585,10 @@ impl Fleet {
                 self.stats.routed_requests,
                 self.stats.shed_requests
             );
-            sim_invariant!(
+            debug_assert!(
                 {
                     let queued: f64 = self.backlog_cpu_s.iter().sum();
-                    let accounted =
-                        self.stats.served_cpu_s + queued + self.stats.shed_cpu_s;
+                    let accounted = self.stats.served_cpu_s + queued + self.stats.shed_cpu_s;
                     (self.stats.arrived_cpu_s - accounted).abs()
                         <= 1e-6 * self.stats.arrived_cpu_s.max(1.0)
                 },

@@ -11,8 +11,6 @@
 //!   core-second; **throughput reduction** is relative to the
 //!   unconstrained run of the same workload.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use dimetrodon::{DimetrodonHook, InjectionModel, InjectionParams, PolicyHandle};
 use dimetrodon_machine::{Machine, MachineConfig};
 use dimetrodon_power::PStateId;
@@ -235,34 +233,39 @@ pub fn characterize_on(
     actuation: Actuation,
     config: RunConfig,
 ) -> RunOutcome {
-    let (mut system, ids, idle_temp) = start_run(machine_config, workload, actuation, config);
-    system.run_until(SimTime::ZERO + config.duration);
-    measure(&system, &ids, idle_temp, config)
+    #[expect(
+        clippy::expect_used,
+        reason = "a run never told to stop reaches its end"
+    )]
+    characterize_while(machine_config, workload, actuation, config, || true)
+        .expect("an unchecked run completes")
 }
 
-/// Events a [`characterize_on_until_cancelled`] run dispatches between
-/// two looks at its flag: a few milliseconds of wall clock.
-const CANCEL_CHECK_EVENTS: u64 = 10_000;
+/// Events a [`characterize_while`] run dispatches between two calls of
+/// its check: a few milliseconds of wall clock.
+const CHUNK_EVENTS: u64 = 10_000;
 
-/// [`characterize_on`] driven through [`System::run_events`] in chunks,
-/// returning `None` at the first chunk boundary after `cancel` is set:
-/// how the sweep supervisor stops an attempt it has given up on. A run
-/// whose flag stays clear is bit-identical to [`characterize_on`], since
-/// chunked `run_events` finished by `run_until` is one `run_until`.
-pub(crate) fn characterize_on_until_cancelled(
+/// [`characterize_on`] driven through [`System::run_events`] in chunks of
+/// [`CHUNK_EVENTS`], calling `keep_going` before each chunk and returning
+/// `None` once it says no: how the sweep supervisor stops an attempt at
+/// its deadline. Chunked `run_events` finished by `run_until` is one
+/// `run_until`, so a completed run's outcome does not depend on the
+/// chunking or on `keep_going`.
+pub(crate) fn characterize_while(
     machine_config: &MachineConfig,
     workload: SaturatingWorkload,
     actuation: Actuation,
     config: RunConfig,
-    cancel: &AtomicBool,
+    mut keep_going: impl FnMut() -> bool,
 ) -> Option<RunOutcome> {
     let (mut system, ids, idle_temp) = start_run(machine_config, workload, actuation, config);
     let end = SimTime::ZERO + config.duration;
+    system.reserve_samples_until(end);
     loop {
-        if cancel.load(Ordering::Relaxed) {
+        if !keep_going() {
             return None;
         }
-        if system.run_events(CANCEL_CHECK_EVENTS, end) < CANCEL_CHECK_EVENTS {
+        if system.run_events(CHUNK_EVENTS, end) < CHUNK_EVENTS {
             break;
         }
     }
@@ -486,36 +489,40 @@ mod tests {
     }
 
     #[test]
-    fn a_run_cancelled_before_it_starts_returns_no_outcome() {
-        let cancel = AtomicBool::new(true);
+    fn a_run_stopped_before_it_starts_returns_no_outcome() {
         let machine = MachineConfig::xeon_e5520();
-        let outcome = characterize_on_until_cancelled(
+        let outcome = characterize_while(
             &machine,
             SaturatingWorkload::CpuBurn,
             Actuation::None,
             quick(),
-            &cancel,
+            || false,
         );
         assert!(outcome.is_none());
     }
 
     #[test]
-    fn an_uncancelled_chunked_run_is_bit_identical_to_characterize_on() {
+    fn a_chunked_run_is_bit_identical_to_one_run_until() {
         // 100 s of injected cpuburn dispatches several chunks of events.
         let machine = MachineConfig::xeon_e5520();
+        let workload = SaturatingWorkload::CpuBurn;
         let actuation = Actuation::Injection {
             params: InjectionParams::new(0.5, SimDuration::from_millis(5)),
             model: InjectionModel::Probabilistic,
         };
-        let plain = characterize_on(&machine, SaturatingWorkload::CpuBurn, actuation, quick());
-        let chunked = characterize_on_until_cancelled(
-            &machine,
-            SaturatingWorkload::CpuBurn,
-            actuation,
-            quick(),
-            &AtomicBool::new(false),
-        )
-        .expect("a run whose flag stays clear completes");
+        let (mut system, ids, idle_temp) = start_run(&machine, workload, actuation, quick());
+        system.run_until(SimTime::ZERO + quick().duration);
+        let plain = measure(&system, &ids, idle_temp, quick());
+        let mut checks = 0;
+        let chunked = characterize_while(&machine, workload, actuation, quick(), || {
+            checks += 1;
+            true
+        })
+        .expect("a run never told to stop completes");
+        assert!(
+            checks > 2,
+            "only {checks} chunk(s): the test must span several"
+        );
         assert_eq!(plain.idle_temp.to_bits(), chunked.idle_temp.to_bits());
         assert_eq!(plain.tail_temp.to_bits(), chunked.tail_temp.to_bits());
         assert_eq!(plain.throughput.to_bits(), chunked.throughput.to_bits());

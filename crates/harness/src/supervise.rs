@@ -12,11 +12,11 @@
 //!   keep the rest of the grid running, surfacing the failure as a
 //!   [`PointOutcome::Panicked`] and an [`Incident`] instead of an abort
 //!   (`--strict` restores the abort-on-panic behaviour bit-for-bit);
-//! * enforce a **per-point deadline** via a watchdog thread, which stops
-//!   an attempt it times out at that attempt's next chunk of events, and
-//!   a **sweep-level time budget**, so a pathological `(p, L)` point times
-//!   out ([`PointOutcome::TimedOut`]) or is skipped
-//!   ([`PointOutcome::Skipped`]) instead of hanging `run_all`;
+//! * enforce a **per-point deadline**, which an attempt checks between
+//!   chunks of events on its own worker, and a **sweep-level time
+//!   budget**, so a pathological `(p, L)` point times out
+//!   ([`PointOutcome::TimedOut`]) or is skipped ([`PointOutcome::Skipped`])
+//!   instead of hanging `run_all`;
 //! * **retry** transiently failing points a bounded number of times with
 //!   deterministic backoff — attempt 0 runs the point's own seed, attempt
 //!   `k > 0` runs `derive_seed(derive_seed(seed, index), k)`, so retried
@@ -32,10 +32,10 @@
 //!
 //! Supervision never changes *values*, only *availability*. A point that
 //! completes produces exactly the outcome the bare pool would have
-//! produced: quarantine is `catch_unwind` around the same call, the
-//! watchdog runs the point on a dedicated thread with the same inputs
-//! (in chunks of events, which are bit-identical to one uninterrupted run),
-//! and replay restores the journaled outcome bit-for-bit (floats
+//! produced: quarantine is `catch_unwind` around the same call, every
+//! attempt runs in chunks of events (bit-identical to one uninterrupted
+//! run) whether or not a deadline is checked between them, and replay
+//! restores the journaled outcome bit-for-bit (floats
 //! travel as IEEE-754 bit patterns, never through decimal, under a
 //! per-record checksum). Wall-clock
 //! time decides only whether a point is *attempted*; it never flows into
@@ -49,15 +49,15 @@
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 use std::time::Instant;
 
 use dimetrodon_ckpt::{fnv1a64, CkptError, Dec, Enc, Journal};
 use dimetrodon_sim_core::{derive_seed, SimTime, TimeSeries};
 
-use crate::runner::{characterize_on, characterize_on_until_cancelled, RunOutcome};
+use crate::runner::{characterize_while, RunOutcome};
 use crate::sweep::{parallel_map_with, SweepPoint};
 
 /// What the supervisor does when a point panics.
@@ -450,8 +450,10 @@ fn retry_backoff(attempt: u32) -> Duration {
     Duration::from_millis(u64::from(attempt.min(10)) * 25)
 }
 
-/// Runs one attempt of one point, honouring the deadline and the panic
-/// policy. Under [`PanicPolicy::Strict`] a panic propagates out of this
+/// Runs one attempt of one point on the calling worker, honouring the
+/// deadline and the panic policy: with a deadline the attempt looks at
+/// its elapsed time between chunks of events and stops at the first look
+/// past it. Under [`PanicPolicy::Strict`] a panic propagates out of this
 /// function (and poisons the pool) exactly as it would without
 /// supervision.
 fn run_attempt(
@@ -461,84 +463,27 @@ fn run_attempt(
     config: &SupervisorConfig,
 ) -> Result<RunOutcome, AttemptError> {
     let prepared = attempt_point(point, index, attempt);
-    match config.point_deadline {
-        None => {
-            let run = move || {
-                characterize_on(
-                    &prepared.machine,
-                    prepared.workload,
-                    prepared.actuation,
-                    prepared.config,
-                )
-            };
-            if config.policy == PanicPolicy::Strict {
-                return Ok(run());
-            }
-            std::panic::catch_unwind(AssertUnwindSafe(run))
-                .map_err(|payload| AttemptError::Panicked(panic_message(payload.as_ref())))
-        }
-        Some(deadline) => {
-            // Set when the deadline passes, so the abandoned attempt stops
-            // at its next chunk of events instead of simulating on.
-            let cancel = Arc::new(AtomicBool::new(false));
-            let cancelled = Arc::clone(&cancel);
-            let run = move || {
-                characterize_on_until_cancelled(
-                    &prepared.machine,
-                    prepared.workload,
-                    prepared.actuation,
-                    prepared.config,
-                    &cancelled,
-                )
-            };
-            let (tx, rx) = mpsc::channel();
-            let spawned = std::thread::Builder::new()
-                .name(format!("sweep-watchdog-{index}-{attempt}"))
-                .spawn(move || {
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(run));
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "the watchdog may have given up and dropped the receiver"
-                    )]
-                    let _ = tx.send(result);
-                });
-            let handle = match spawned {
-                Ok(handle) => handle,
-                Err(err) => {
-                    return Err(AttemptError::Panicked(format!(
-                        "could not spawn watchdog thread: {err}"
-                    )))
-                }
-            };
-            match rx.recv_timeout(deadline) {
-                Ok(Ok(Some(outcome))) => {
-                    // The attempt finished; the thread is done or moments
-                    // from it — joining cannot block meaningfully.
-                    drop(handle.join());
-                    Ok(outcome)
-                }
-                // Only the deadline below sets the flag, so an attempt
-                // cannot come back cancelled before it; read it as one.
-                Ok(Ok(None)) => Err(AttemptError::TimedOut),
-                Ok(Err(payload)) => {
-                    drop(handle.join());
-                    if config.policy == PanicPolicy::Strict {
-                        std::panic::resume_unwind(payload);
-                    }
-                    Err(AttemptError::Panicked(panic_message(payload.as_ref())))
-                }
-                Err(_) => {
-                    // Deadline passed: abandon the attempt. The detached
-                    // thread returns at its next chunk of events (a point
-                    // hung inside one event hangs on its own) and its send
-                    // fails harmlessly into a dropped channel.
-                    cancel.store(true, Ordering::Relaxed);
-                    drop(handle);
-                    Err(AttemptError::TimedOut)
-                }
-            }
-        }
-    }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline clock only decides whether an attempt goes on; it never flows into results"
+    )]
+    let deadline = config.point_deadline.map(|limit| (Instant::now(), limit));
+    let run = || {
+        characterize_while(
+            &prepared.machine,
+            prepared.workload,
+            prepared.actuation,
+            prepared.config,
+            || deadline.is_none_or(|(started, limit)| started.elapsed() < limit),
+        )
+    };
+    let finished = if config.policy == PanicPolicy::Strict {
+        run()
+    } else {
+        std::panic::catch_unwind(AssertUnwindSafe(run))
+            .map_err(|payload| AttemptError::Panicked(panic_message(payload.as_ref())))?
+    };
+    finished.ok_or(AttemptError::TimedOut)
 }
 
 /// Runs one point under full supervision: bounded retries around
@@ -768,10 +713,11 @@ mod tests {
         assert_eq!(attempt_point(&points[0], 0, 0), points[0]);
     }
 
-    /// A point slow enough that it cannot finish before the watchdog
-    /// starts waiting (a tiny point under parallel-test CPU contention can
-    /// beat even a nanosecond recv_timeout): a half-hour simulated run
-    /// takes on the order of a second of wall clock.
+    /// A point slow enough that it spans many chunks of events and
+    /// cannot finish before its deadline (a tiny point finishes within
+    /// its first chunk, so its clock is read once, before it starts): a
+    /// half-hour simulated run takes on the order of a second of wall
+    /// clock.
     fn slow_point(seed: u64) -> SweepPoint {
         let slow = RunConfig {
             duration: SimDuration::from_secs(1800),

@@ -449,14 +449,11 @@ impl Machine {
     /// Forgiving variant of [`set_tcc_duty`](Machine::set_tcc_duty) for
     /// closed-loop actuators whose command may be degraded: finite values
     /// are clamped into `[`[`MIN_TCC_DUTY`]`, 1]`, non-finite commands
-    /// leave the duty unchanged (flagged under the `invariants` feature,
-    /// where a NaN command is a controller bug worth stopping on).
+    /// leave the duty unchanged (a `debug_assert!` in debug and test
+    /// builds, where a NaN command is a controller bug worth stopping on).
     /// Returns the duty actually in force.
     pub fn set_tcc_duty_clamped(&mut self, duty: f64) -> f64 {
-        dimetrodon_sim_core::sim_invariant!(
-            duty.is_finite(),
-            "non-finite TCC duty command: {duty}"
-        );
+        debug_assert!(duty.is_finite(), "non-finite TCC duty command: {duty}");
         if duty.is_finite() {
             self.tcc_duty = duty.clamp(MIN_TCC_DUTY, 1.0);
         }
@@ -579,7 +576,7 @@ impl Machine {
         }
         self.apply_core_powers(&core_powers);
         self.power_scratch = core_powers;
-        if cfg!(feature = "invariants") {
+        if cfg!(debug_assertions) {
             // Energy conservation at the thermal boundary: the watts split
             // across hotspot/die/package nodes must sum back to the package
             // power being metered, or heat is silently created/destroyed.
@@ -594,7 +591,7 @@ impl Machine {
         self.clock += dt;
         let elapsed_before = self.energy.elapsed();
         self.energy.accumulate(package, dt);
-        dimetrodon_sim_core::sim_invariant!(
+        debug_assert!(
             self.energy.elapsed() == elapsed_before + dt,
             "energy meter clock drifted: {} != {} + {dt}",
             self.energy.elapsed(),
@@ -1406,12 +1403,18 @@ mod tests {
         assert_eq!(m.set_tcc_duty_clamped(1.7), 1.0);
         assert_eq!(m.set_tcc_duty_clamped(-3.0), MIN_TCC_DUTY);
         assert_eq!(m.set_tcc_duty_clamped(0.0), MIN_TCC_DUTY);
-        // A NaN command is ignored (and would assert under `invariants`).
-        if !cfg!(feature = "invariants") {
-            m.set_tcc_duty_clamped(0.5);
-            assert_eq!(m.set_tcc_duty_clamped(f64::NAN), 0.5);
-            assert_eq!(m.tcc_duty(), 0.5);
+        m.set_tcc_duty_clamped(0.5);
+        let nan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.set_tcc_duty_clamped(f64::NAN)
+        }));
+        if cfg!(debug_assertions) {
+            // Armed: a NaN command is a controller bug and stops the run.
+            assert!(nan.is_err(), "debug builds must reject a NaN command");
+        } else {
+            // Release: a NaN command is ignored.
+            assert_eq!(nan.ok(), Some(0.5));
         }
+        assert_eq!(m.tcc_duty(), 0.5);
     }
 
     #[test]

@@ -390,8 +390,20 @@ impl System {
     /// Runs the simulation until simulated time `t` (inclusive of events
     /// at `t`), then advances the machine model to exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        // Size the sample series for the whole horizon up front instead
-        // of doubling through it.
+        self.reserve_samples_until(t);
+        while let Some(scheduled) = self.queue.pop_at_or_before(t) {
+            self.advance_to(scheduled.at);
+            self.dispatch(scheduled.event);
+        }
+        self.advance_to(t);
+    }
+
+    /// Sizes the sample series for a run up to `t` up front instead of
+    /// letting them double through it. [`run_until`](Self::run_until)
+    /// starts with this; a run driven through
+    /// [`run_events`](Self::run_events) calls it once before its first
+    /// chunk.
+    pub fn reserve_samples_until(&mut self, t: SimTime) {
         if t > self.now {
             let samples = ((t - self.now).as_secs_f64()
                 / self.config.sample_interval.as_secs_f64())
@@ -402,11 +414,6 @@ impl System {
                 series.reserve(samples);
             }
         }
-        while let Some(scheduled) = self.queue.pop_at_or_before(t) {
-            self.advance_to(scheduled.at);
-            self.dispatch(scheduled.event);
-        }
-        self.advance_to(t);
     }
 
     /// Dispatches at most `max_events` events at or before `deadline`
@@ -464,7 +471,7 @@ impl System {
                 meter.observe(self.last_advance, dt, watts);
             }
             self.last_advance = t;
-            dimetrodon_sim_core::sim_invariant!(
+            debug_assert!(
                 self.machine.energy().elapsed()
                     == self.last_advance.saturating_since(SimTime::ZERO),
                 "energy accounting drifted from scheduler time: meter at {}, \

@@ -47,7 +47,6 @@
 
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert exact, deterministic values"))]
 
-pub mod invariant;
 mod queue;
 mod rng;
 mod series;

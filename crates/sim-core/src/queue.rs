@@ -124,8 +124,9 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         let entry = self.heap.pop()?;
-        crate::sim_invariant!(
-            self.last_popped.is_none_or(|watermark| entry.at >= watermark),
+        debug_assert!(
+            self.last_popped
+                .is_none_or(|watermark| entry.at >= watermark),
             "event queue popped {} before the {:?} watermark: timestamps must be monotone",
             entry.at,
             self.last_popped
@@ -136,11 +137,6 @@ impl<E> EventQueue<E> {
             seq: entry.seq,
             event: entry.event,
         })
-    }
-
-    /// The instant of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
     }
 
     /// Removes and returns the earliest pending event if it fires at or
@@ -215,15 +211,6 @@ mod tests {
         q.push(SimTime::from_millis(10), ());
         q.pop();
         q.push(SimTime::from_millis(5), ());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(7), ());
-        q.push(SimTime::from_millis(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(4)));
-        assert_eq!(q.pop().map(|s| s.at), Some(SimTime::from_millis(4)));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! temperature three hundred times a second, power three times a
 //! millisecond. [`TimeSeries`] stores `(time, value)` samples and provides
 //! the reductions the paper's methodology needs: the mean over the last 30
-//! seconds of a run (§3.4's steady-state measurement), time-weighted
-//! integration (energy from a power trace), and resampling for plots.
+//! seconds of a run (§3.4's steady-state measurement) and time-weighted
+//! integration (energy from a power trace).
 
 use crate::time::{SimDuration, SimTime};
 
@@ -66,13 +66,15 @@ impl TimeSeries {
     ///
     /// # Panics
     ///
-    /// Panics if `at` precedes the last sample's time or `value` is NaN.
+    /// Panics if `at` precedes the last sample's time or `value` is NaN,
+    /// and, in builds with `debug_assertions` (debug and test builds), if
+    /// `value` is infinite.
     pub fn push(&mut self, at: SimTime, value: f64) {
         if let Some(&last) = self.times.last() {
             assert!(at >= last, "sample at {at} precedes last sample at {last}");
         }
         assert!(!value.is_nan(), "NaN sample in series {}", self.name);
-        crate::sim_invariant!(
+        debug_assert!(
             value.is_finite(),
             "non-finite sample {value} in series {}",
             self.name
@@ -126,7 +128,7 @@ impl TimeSeries {
     /// Whether every sample value is finite (no NaN or infinities).
     ///
     /// [`TimeSeries::push`] already rejects NaN unconditionally and all
-    /// non-finite values under the `invariants` feature; this check lets
+    /// non-finite values in builds with `debug_assertions`; this check lets
     /// release-mode consumers — the fault-injection property tests in
     /// particular — assert the "finite series" invariant explicitly.
     pub fn all_finite(&self) -> bool {
@@ -158,103 +160,12 @@ impl TimeSeries {
             .sum()
     }
 
-    /// Integrates the series by the trapezoid rule. Appropriate for
-    /// smoothly varying signals such as temperature.
-    ///
-    /// Returns `0.0` for series with fewer than two samples.
-    pub fn integrate_trapezoid(&self) -> f64 {
-        self.times
-            .windows(2)
-            .zip(self.values.windows(2))
-            .map(|(t, v)| 0.5 * (v[0] + v[1]) * (t[1] - t[0]).as_secs_f64())
-            .sum()
-    }
-
-    /// Downsamples to at most `max_points` evenly spaced samples (by index),
-    /// always retaining the first and last. Intended for plotting.
-    pub fn thin(&self, max_points: usize) -> Vec<(SimTime, f64)> {
-        if self.len() <= max_points || max_points < 2 {
-            return self.iter().collect();
-        }
-        let step = (self.len() - 1) as f64 / (max_points - 1) as f64;
-        (0..max_points)
-            .map(|i| {
-                let idx = ((i as f64 * step).round() as usize).min(self.len() - 1);
-                (self.times[idx], self.values[idx])
-            })
-            .collect()
-    }
-
-    /// The value in effect at `at`, treating the series as a step function.
-    /// Returns `None` before the first sample.
-    pub fn sample_at(&self, at: SimTime) -> Option<f64> {
-        let idx = self.times.partition_point(|&t| t <= at);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.values[idx - 1])
-        }
-    }
-
-    /// A centred moving average with the given window span: each output
-    /// sample is the mean of all input samples within `window / 2` on
-    /// either side. Used to smooth probabilistic temperature curves for
-    /// plotting without disturbing their trend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn moving_average(&self, window: SimDuration) -> TimeSeries {
-        assert!(!window.is_zero(), "window must be positive");
-        let half = window / 2;
-        let mut out = TimeSeries::new(format!("{}_smoothed", self.name));
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        let mut sum = 0.0;
-        for (i, &t) in self.times.iter().enumerate() {
-            let from = t.saturating_since(SimTime::ZERO + half);
-            let from = SimTime::ZERO + from;
-            let to = t.checked_add(half).unwrap_or(SimTime::MAX);
-            while hi < self.times.len() && self.times[hi] <= to {
-                sum += self.values[hi];
-                hi += 1;
-            }
-            while lo < self.times.len() && self.times[lo] < from {
-                sum -= self.values[lo];
-                lo += 1;
-            }
-            debug_assert!(lo <= i && i < hi);
-            out.push(t, sum / (hi - lo) as f64);
-        }
-        out
-    }
-
     /// Duration covered by the series (first to last sample).
     pub fn span(&self) -> SimDuration {
         match (self.times.first(), self.times.last()) {
             (Some(&a), Some(&b)) => b - a,
             _ => SimDuration::ZERO,
         }
-    }
-}
-
-#[cfg(all(test, feature = "invariants"))]
-mod invariant_tests {
-    use super::*;
-
-    #[test]
-    #[should_panic(expected = "non-finite sample")]
-    fn infinite_sample_is_rejected() {
-        let mut s = TimeSeries::new("test");
-        s.push(SimTime::ZERO, f64::INFINITY);
-    }
-
-    #[test]
-    fn finite_samples_pass() {
-        let mut s = TimeSeries::new("test");
-        s.push(SimTime::ZERO, 1.5);
-        s.push(SimTime::from_millis(1), -2.5);
-        assert_eq!(s.len(), 2);
     }
 }
 
@@ -284,50 +195,33 @@ mod tests {
         let s = series(&[(0, 1.0), (100, 2.0)]);
         assert!(s.all_finite());
         assert!(TimeSeries::new("empty").all_finite(), "vacuously true");
-        // Infinity slips past the release-mode push (only NaN is rejected
-        // unconditionally); all_finite must still catch it.
-        if !cfg!(feature = "invariants") {
-            let mut s = series(&[(0, 1.0)]);
+        let mut s = series(&[(0, 1.0)]);
+        let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.push(SimTime::from_millis(100), f64::INFINITY);
+        }));
+        if cfg!(debug_assertions) {
+            // Armed: push rejects the infinity before storing it.
+            assert!(pushed.is_err(), "debug push must reject infinity");
+            assert!(s.all_finite() && s.len() == 1);
+        } else {
+            // Infinity slips past the release-mode push (only NaN is
+            // rejected unconditionally); all_finite must still catch it.
+            assert!(pushed.is_ok());
             assert!(!s.all_finite());
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "non-finite sample")]
+    fn infinite_sample_is_rejected() {
+        TimeSeries::new("t").push(SimTime::ZERO, f64::INFINITY);
     }
 
     #[test]
     fn step_integration_is_left_rectangle() {
         let s = series(&[(0, 10.0), (500, 20.0), (1000, 0.0)]);
         assert!((s.integrate_step() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trapezoid_integration() {
-        // Linear ramp 0->10 over 1 s has area 5.
-        let s = series(&[(0, 0.0), (1000, 10.0)]);
-        assert!((s.integrate_trapezoid() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_at_is_step_function() {
-        let s = series(&[(100, 1.0), (200, 2.0)]);
-        assert_eq!(s.sample_at(SimTime::from_millis(50)), None);
-        assert_eq!(s.sample_at(SimTime::from_millis(100)), Some(1.0));
-        assert_eq!(s.sample_at(SimTime::from_millis(150)), Some(1.0));
-        assert_eq!(s.sample_at(SimTime::from_millis(500)), Some(2.0));
-    }
-
-    #[test]
-    fn thin_keeps_endpoints() {
-        let s = series(&(0..100).map(|i| (i * 10, i as f64)).collect::<Vec<_>>());
-        let thinned = s.thin(10);
-        assert_eq!(thinned.len(), 10);
-        assert_eq!(thinned.first().unwrap().1, 0.0);
-        assert_eq!(thinned.last().unwrap().1, 99.0);
-    }
-
-    #[test]
-    fn thin_noop_when_small() {
-        let s = series(&[(0, 1.0), (10, 2.0)]);
-        assert_eq!(s.thin(10).len(), 2);
     }
 
     #[test]
@@ -363,36 +257,6 @@ mod tests {
         assert_eq!(s.span(), SimDuration::ZERO);
     }
 
-    #[test]
-    fn moving_average_smooths_alternation() {
-        // Alternating 0/10 samples every 10 ms with a 50 ms window
-        // average out to ~5 in the interior.
-        let mut s = TimeSeries::new("noisy");
-        for i in 0..100u64 {
-            s.push(SimTime::from_millis(i * 10), if i % 2 == 0 { 0.0 } else { 10.0 });
-        }
-        let smooth = s.moving_average(SimDuration::from_millis(50));
-        assert_eq!(smooth.len(), s.len());
-        for (t, v) in smooth.iter() {
-            if t > SimTime::from_millis(50) && t < SimTime::from_millis(940) {
-                assert!((v - 5.0).abs() <= 2.0, "at {t}: {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn moving_average_preserves_constants() {
-        let s = series(&[(0, 3.0), (100, 3.0), (200, 3.0)]);
-        let smooth = s.moving_average(SimDuration::from_millis(150));
-        assert!(smooth.iter().all(|(_, v)| (v - 3.0).abs() < 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn moving_average_rejects_zero_window() {
-        series(&[(0, 1.0)]).moving_average(SimDuration::ZERO);
-    }
-
     proptest! {
         /// Step integral of a constant series equals constant * span.
         #[test]
@@ -403,7 +267,6 @@ mod tests {
             }
             let expected = v * s.span().as_secs_f64();
             prop_assert!((s.integrate_step() - expected).abs() < 1e-9);
-            prop_assert!((s.integrate_trapezoid() - expected).abs() < 1e-9);
         }
 
         /// mean_over(first sample time) equals the plain mean.

@@ -43,9 +43,7 @@
 
 mod linalg;
 mod network;
-mod response;
 mod rk4;
 
 pub use network::{NodeId, ThermalError, ThermalNetwork, ThermalNetworkBuilder};
-pub use response::{cooling_drop, cooling_efficiency, step_response};
 pub use rk4::rk4_reference;

@@ -566,7 +566,7 @@ impl ThermalNetwork {
         // modulo float rounding, hence the tolerance. The pre-step minimum
         // matters because set_temperature may legitimately start a node
         // below ambient.
-        let floor = if cfg!(feature = "invariants") {
+        let floor = if cfg!(debug_assertions) {
             self.temperatures
                 .iter()
                 .copied()
@@ -595,7 +595,7 @@ impl ThermalNetwork {
         if (full + u64::from(rem_ns != 0)) % 2 == 1 {
             std::mem::swap(&mut self.temperatures, &mut self.scratch);
         }
-        if cfg!(feature = "invariants") {
+        if cfg!(debug_assertions) {
             for (i, &t) in self.temperatures.iter().enumerate() {
                 assert!(
                     t.is_finite() && t >= floor,
@@ -845,10 +845,10 @@ mod tests {
         }
     }
 
-    /// Under the `invariants` feature, advance() checks its physical
-    /// envelope (finite temperatures, no dips below the pre-step floor)
-    /// on every call; heat-up and cool-down paths both cross it.
-    #[cfg(feature = "invariants")]
+    /// With `debug_assertions` on, advance() checks its physical envelope
+    /// (finite temperatures, no dips below the pre-step floor) on every
+    /// call; heat-up and cool-down paths both cross it.
+    #[cfg(debug_assertions)]
     #[test]
     fn envelope_check_passes_through_transients() {
         let (mut net, die) = single_node();
