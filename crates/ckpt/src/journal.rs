@@ -17,7 +17,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::{push_frame, read_frame, CkptError, Dec, Enc};
+use crate::{read_frame, write_frame, CkptError, Dec, Enc};
 
 /// Identifies a journal file; the first 8 bytes on disk.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"DMTRJRNL";
@@ -175,10 +175,10 @@ impl Journal {
     /// fsync. Thread-safe; workers append in completion order.
     pub fn append(&self, record: &[u8]) {
         let mut frame = Vec::with_capacity(record.len() + 12);
-        push_frame(&mut frame, record);
+        let framed = write_frame(&mut frame, record);
         let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(file) = guard.as_mut() {
-            if let Err(err) = file.write_all(&frame) {
+            if let Err(err) = framed.and_then(|()| file.write_all(&frame)) {
                 eprintln!("warning: journal write failed ({err}); journaling disabled");
                 *guard = None;
             }
@@ -196,7 +196,7 @@ fn open_after(path: &Path, header: &JournalHeader, keep: usize) -> std::io::Resu
     file.set_len(keep as u64)?;
     if keep == 0 {
         let mut bytes = JOURNAL_MAGIC.to_vec();
-        push_frame(&mut bytes, &header.encode());
+        write_frame(&mut bytes, &header.encode())?;
         file.write_all(&bytes)?;
     }
     Ok(file)

@@ -44,7 +44,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 mod journal;
@@ -379,19 +379,29 @@ impl CkptHeader {
 /// one frame per state payload.
 pub fn encode_checkpoint(header: CkptHeader, payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(&CKPT_MAGIC);
-    bytes.extend_from_slice(&CKPT_FORMAT_VERSION.to_le_bytes());
-    push_frame(&mut bytes, &header.encode(payloads.len()));
-    for payload in payloads {
-        push_frame(&mut bytes, payload);
-    }
+    #[expect(clippy::expect_used, reason = "writing into a Vec cannot fail")]
+    write_checkpoint(&mut bytes, header, payloads).expect("a Vec takes every write");
     bytes
 }
 
-fn push_frame(bytes: &mut Vec<u8>, payload: &[u8]) {
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+/// Writes the bytes of [`encode_checkpoint`] to `out` piece by piece,
+/// never holding the whole image.
+fn write_checkpoint(
+    out: &mut impl Write,
+    header: CkptHeader,
+    payloads: &[Vec<u8>],
+) -> io::Result<()> {
+    out.write_all(&CKPT_MAGIC)?;
+    out.write_all(&CKPT_FORMAT_VERSION.to_le_bytes())?;
+    write_frame(out, &header.encode(payloads.len()))?;
+    payloads.iter().try_for_each(|payload| write_frame(out, payload))
+}
+
+/// Writes one frame: the payload's length, the payload, its checksum.
+fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(payload)?;
+    out.write_all(&fnv1a64(payload).to_le_bytes())
 }
 
 /// Verifies the frame at the front of `bytes` and splits it off: returns
@@ -448,19 +458,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(CkptHeader, Vec<Vec<u8>>), Ckp
     Ok((header, states))
 }
 
-/// Writes `bytes` to `path` atomically: a temp file in the same
-/// directory, flushed and fsynced, then published by `rename`. A crash at
-/// any point leaves either the old file or the new one, never a torn mix.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    let io = |err: std::io::Error| CkptError::Io(format!("{}: {err}", path.display()));
-    let tmp = path.with_extension("ckpt.tmp");
-    let mut file = fs::File::create(&tmp).map_err(io)?;
-    file.write_all(bytes).map_err(io)?;
-    file.sync_all().map_err(io)?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(io)
-}
-
 // ----------------------------------------------------------------------
 // Store: retention + newest-verifying fallback
 // ----------------------------------------------------------------------
@@ -513,6 +510,10 @@ impl CheckpointStore {
     /// Saves one checkpoint atomically and prunes past the retention
     /// limit. `seq` must be strictly greater than any previously saved
     /// sequence number for fallback ordering to mean "newest first".
+    ///
+    /// The frames stream straight into a temp file in the same directory,
+    /// which is fsynced and then published by `rename`: a crash at any
+    /// point leaves either the old file or the new one, never a torn mix.
     pub fn save(&self, seq: u64, payloads: &[Vec<u8>]) -> Result<(), CkptError> {
         fs::create_dir_all(&self.dir)
             .map_err(|err| CkptError::Io(format!("{}: {err}", self.dir.display())))?;
@@ -520,7 +521,14 @@ impl CheckpointStore {
             fingerprint: self.fingerprint,
             seq,
         };
-        write_atomic(&self.path_for(seq), &encode_checkpoint(header, payloads))?;
+        let path = self.path_for(seq);
+        let io = |err: io::Error| CkptError::Io(format!("{}: {err}", path.display()));
+        let tmp = path.with_extension("ckpt.tmp");
+        let mut file = fs::File::create(&tmp).map_err(io)?;
+        write_checkpoint(&mut file, header, payloads).map_err(io)?;
+        file.sync_all().map_err(io)?;
+        drop(file);
+        fs::rename(&tmp, &path).map_err(io)?;
         self.prune();
         Ok(())
     }
@@ -725,6 +733,23 @@ mod tests {
                 expected: CKPT_FORMAT_VERSION
             })
         );
+    }
+
+    #[test]
+    fn a_saved_file_is_the_encoded_image_byte_for_byte() {
+        let dir = scratch("streamed");
+        let store = CheckpointStore::new(&dir, "unit", 0xabcd, 2);
+        let payloads = sample_payloads();
+        store.save(3, &payloads).unwrap();
+        let header = CkptHeader {
+            fingerprint: 0xabcd,
+            seq: 3,
+        };
+        assert_eq!(
+            fs::read(store.path_for(3)).unwrap(),
+            encode_checkpoint(header, &payloads)
+        );
+        assert!(!store.path_for(3).with_extension("ckpt.tmp").exists());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    [`FleetConfig::seed`] and every policy faces the same stream;
 //! 2. each request is routed through the policy and scored by the fluid
 //!    FIFO model: latency = (queued CPU-seconds + own demand) ÷ the
-//!    machine's drain rate, recorded into its rack's [`QosStats`];
+//!    machine's drain rate, recorded into its rack's [`QosTail`];
 //! 3. every machine serves as much backlog as its capacity allows, its
 //!    cores run at the implied activity, and the full thermal/power
 //!    model advances one epoch;
@@ -34,7 +34,7 @@ use dimetrodon_faults::CrashBacklog;
 use dimetrodon_machine::{CoreId, Machine};
 use dimetrodon_power::CoreState;
 use dimetrodon_sim_core::{SimDuration, SimRng, SimTime};
-use dimetrodon_workload::{QosStats, WebConfig};
+use dimetrodon_workload::{QosTail, WebConfig};
 
 use crate::config::FleetConfig;
 use crate::health::HealthModel;
@@ -111,8 +111,9 @@ pub struct Fleet {
     tenant_weight: Vec<f64>,
     /// Cumulative routed CPU-seconds per tenant.
     tenant_demand_cpu_s: Vec<f64>,
-    /// Per-rack QoS accumulators.
-    rack_qos: Vec<QosStats>,
+    /// Per-rack QoS accumulators, each bounded by the run's request
+    /// budget.
+    rack_qos: Box<[QosTail]>,
     /// Per-rack peak machine temperature so far.
     rack_peak_celsius: Vec<f64>,
     /// Per-rack running sum of squared machine temperatures.
@@ -155,7 +156,7 @@ dimetrodon_ckpt::state! {
 }
 
 /// Chaos accounting accumulated per epoch while collection is on.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ChaosStats {
     arrived_requests: u64,
     routed_requests: u64,
@@ -164,8 +165,8 @@ struct ChaosStats {
     served_cpu_s: f64,
     shed_cpu_s: f64,
     availability: Availability,
-    qos_healthy: QosStats,
-    qos_degraded: QosStats,
+    qos_healthy: QosTail,
+    qos_degraded: QosTail,
     healthy_epochs: u64,
     degraded_epochs: u64,
     /// Recovery-log entries already forwarded to `availability`.
@@ -178,6 +179,26 @@ dimetrodon_ckpt::state! {
             served_cpu_s, shed_cpu_s, availability, qos_healthy, qos_degraded, healthy_epochs,
             degraded_epochs, recoveries_fed;
         derived: ;
+    }
+}
+
+impl ChaosStats {
+    /// Zeroed accounting whose QoS splits hold at most `budget` requests.
+    fn new(budget: u64) -> ChaosStats {
+        ChaosStats {
+            arrived_requests: 0,
+            routed_requests: 0,
+            shed_requests: 0,
+            arrived_cpu_s: 0.0,
+            served_cpu_s: 0.0,
+            shed_cpu_s: 0.0,
+            availability: Availability::default(),
+            qos_healthy: QosTail::new(budget),
+            qos_degraded: QosTail::new(budget),
+            healthy_epochs: 0,
+            degraded_epochs: 0,
+            recoveries_fed: 0,
+        }
     }
 }
 
@@ -266,6 +287,9 @@ impl Fleet {
         let web = config.web();
         let health = HealthModel::new(config.machines, config.heartbeat_timeout_epochs);
         let collect_chaos = !config.chaos.is_empty();
+        // Every request of the run lands at most once, so the run's
+        // request budget bounds every QoS accumulator's count.
+        let budget = config.requests_per_epoch as u64 * config.epochs();
         Fleet {
             rack_of,
             backlog_cpu_s: vec![0.0; config.machines],
@@ -273,7 +297,7 @@ impl Fleet {
             temps_celsius,
             tenant_weight,
             tenant_demand_cpu_s: vec![0.0; config.tenants],
-            rack_qos: vec![QosStats::default(); racks],
+            rack_qos: (0..racks).map(|_| QosTail::new(budget)).collect(),
             rack_peak_celsius,
             rack_temp_sq_sum: vec![0.0; racks],
             rack_temp_samples: vec![0; racks],
@@ -284,7 +308,7 @@ impl Fleet {
             wedged: vec![false; config.machines],
             crac: vec![None; racks],
             collect_chaos,
-            stats: ChaosStats::default(),
+            stats: ChaosStats::new(budget),
             machines,
             prototype,
             web,
@@ -397,7 +421,17 @@ impl Fleet {
     }
 
     /// Runs one control epoch under `policy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the configured duration: the QoS accumulators are
+    /// sized for [`FleetConfig::epochs`] epochs of requests.
     pub fn step(&mut self, policy: &mut dyn RoutePolicy) {
+        assert!(
+            self.epochs_run < self.config.epochs(),
+            "fleet stepped past its {} configured epochs",
+            self.config.epochs()
+        );
         let epoch_secs = self.config.epoch.as_secs_f64();
         let mean_cpu_s = self.config.mean_service_cpu.as_secs_f64();
         let chaos_on = !self.config.chaos.is_empty();
@@ -639,9 +673,9 @@ impl Fleet {
                         .filter(|(_, &r)| r == rack)
                         .map(|(m, _)| m.trip_count())
                         .sum(),
-                    requests: qos.total(),
+                    requests: qos.requests(),
                     good_fraction: qos.good_fraction(),
-                    p99_latency_s: qos.latency_percentile(99.0),
+                    p99_latency_s: qos.p99(),
                 }
             })
             .collect()
@@ -678,8 +712,8 @@ impl Fleet {
             capacity_min: availability.capacity_min().unwrap_or(1.0),
             healthy_epochs: s.healthy_epochs,
             degraded_epochs: s.degraded_epochs,
-            p99_healthy_s: s.qos_healthy.latency_percentile(99.0),
-            p99_degraded_s: s.qos_degraded.latency_percentile(99.0),
+            p99_healthy_s: s.qos_healthy.p99(),
+            p99_degraded_s: s.qos_degraded.p99(),
             recoveries: availability.recoveries(),
             recovery_mean_s: availability.recovery_mean_s(),
             recovery_max_s: availability.recovery_max_s(),
@@ -749,7 +783,6 @@ impl Fleet {
             ("wedged flags", self.wedged.len(), machines),
             ("tenant weights", self.tenant_weight.len(), tenants),
             ("tenant demand", self.tenant_demand_cpu_s.len(), tenants),
-            ("rack qos", self.rack_qos.len(), racks),
             ("rack peaks", self.rack_peak_celsius.len(), racks),
             ("rack temp squares", self.rack_temp_sq_sum.len(), racks),
             ("rack temp samples", self.rack_temp_samples.len(), racks),
@@ -955,6 +988,37 @@ mod tests {
         }
         let reports = fleet.reports();
         assert!(reports.iter().all(|r| r.peak_celsius.is_finite()));
+    }
+
+    #[test]
+    fn each_rack_keeps_only_its_p99_tail_and_the_image_stops_growing() {
+        let config = small_config(29);
+        let budget = config.requests_per_epoch as u64 * config.epochs();
+        let bound = budget / 100 + 1;
+        let mut fleet = Fleet::new(config.clone());
+        let mut policy = RoundRobin::default();
+        // One epoch sends each rack more requests than its tail keeps.
+        fleet.step(&mut policy);
+        assert!(fleet.rack_qos.iter().all(|qos| qos.tail_len() as u64 == bound));
+        fleet.step(&mut policy);
+        let early = fleet.checkpoint_encode().len();
+        while fleet.epochs_run() < config.epochs() {
+            fleet.step(&mut policy);
+        }
+        assert_eq!(fleet.checkpoint_encode().len(), early, "full tails hold the image's size");
+        for qos in fleet.rack_qos.iter() {
+            assert_eq!(qos.tail_len() as u64, qos.requests().min(bound));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet stepped past its 20 configured epochs")]
+    fn stepping_past_the_configured_epochs_panics() {
+        let config = small_config(31);
+        let mut fleet = Fleet::new(config);
+        let mut policy = RoundRobin::default();
+        fleet.run(&mut policy);
+        fleet.step(&mut policy);
     }
 
     #[test]

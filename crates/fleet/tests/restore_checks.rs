@@ -51,8 +51,9 @@ struct Offsets {
     pstate: usize,
     /// Length word of machine 0's per-core P-state overrides.
     core_pstates: usize,
-    /// Length word of rack 0's latency list.
-    rack0_latencies: usize,
+    /// Rack 0's request count, followed by its good count and the length
+    /// word of its latency tail.
+    rack0_qos: usize,
     /// Length word of the health model's advertised states.
     health_states: usize,
 }
@@ -129,10 +130,10 @@ fn offsets(payload: &[u8]) -> Offsets {
         walk.list(8); // backlog, inject_p, temps, tenant weights and demand
     }
     let racks = walk.u64();
-    let rack0_latencies = walk.pos;
+    let rack0_qos = walk.pos;
     for _ in 0..racks {
-        walk.list(8);
-        walk.pos += 24; // good, tolerable, failed
+        walk.pos += 8 + 8; // requests, good
+        walk.list(8); // the latency tail, ascending
     }
     for _ in 0..3 {
         walk.list(8); // rack peaks, temperature squares, sample counts
@@ -145,7 +146,7 @@ fn offsets(payload: &[u8]) -> Offsets {
         core_states,
         pstate,
         core_pstates,
-        rack0_latencies,
+        rack0_qos,
         health_states: walk.pos,
     };
     // The walk is aligned: each word it found holds what it should.
@@ -227,16 +228,69 @@ fn an_activity_factor_above_one_is_a_typed_error() {
     assert_malformed(restore(&config, &spliced), "activity 1.5");
 }
 
+/// The run's request budget; a rack's tail keeps `budget / 100 + 1`.
+fn budget(config: &FleetConfig) -> u64 {
+    config.requests_per_epoch as u64 * config.epochs()
+}
+
+fn read_u64(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
 #[test]
 fn qos_counters_that_miss_the_latency_count_are_a_typed_error() {
     let config = config();
+    let payload = stepped_payload(&config);
+    let requests = offsets(&payload).rack0_qos;
+    let (good, tail) = (requests + 8, requests + 16);
+    let bound = budget(&config) / 100 + 1;
+    assert_eq!(read_u64(&payload, tail), bound, "three epochs fill the tail");
+
+    // Fewer requests than the tail holds.
+    let mut fewer = payload.clone();
+    write_u64(&mut fewer, requests, bound - 1);
+    assert_malformed(restore(&config, &fewer), "one request fewer than the tail");
+
+    // More good requests than requests.
+    let mut good_over = payload.clone();
+    write_u64(&mut good_over, good, read_u64(&payload, requests) + 1);
+    assert_malformed(restore(&config, &good_over), "one good request too many");
+
+    // More requests than the run can route: the tail could not answer
+    // their p99.
+    let mut over_budget = payload;
+    write_u64(&mut over_budget, requests, budget(&config) + 1);
+    assert_malformed(restore(&config, &over_budget), "requests over the budget");
+}
+
+#[test]
+fn a_qos_tail_longer_than_its_bound_is_a_typed_error() {
+    let config = config();
+    let payload = stepped_payload(&config);
+    let tail = offsets(&payload).rack0_qos + 16;
+    let len = read_u64(&payload, tail);
+    let end = tail + 8 + 8 * len as usize;
+    // One more latency, as large as the largest, so the tail stays
+    // ascending and only its length is wrong.
+    let mut spliced = payload[..tail].to_vec();
+    spliced.extend_from_slice(&(len + 1).to_le_bytes());
+    spliced.extend_from_slice(&payload[tail + 8..end]);
+    spliced.extend_from_slice(&payload[end - 8..]);
+    assert_malformed(restore(&config, &spliced), "a tail one over the bound");
+}
+
+#[test]
+fn a_qos_tail_out_of_ascending_order_is_a_typed_error() {
+    let config = config();
     let mut payload = stepped_payload(&config);
-    let at = offsets(&payload).rack0_latencies;
-    let latencies = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-    let good = at + 8 + 8 * latencies as usize;
-    let counted = u64::from_le_bytes(payload[good..good + 8].try_into().unwrap());
-    write_u64(&mut payload, good, counted + 1);
-    assert_malformed(restore(&config, &payload), "one good request too many");
+    let tail = offsets(&payload).rack0_qos + 16;
+    let len = read_u64(&payload, tail) as usize;
+    let (first, last) = (tail + 8, tail + 8 * len);
+    let (smallest, largest) = (read_u64(&payload, first), read_u64(&payload, last));
+    assert!(smallest < largest, "a loaded rack's tail spans several latencies");
+    write_u64(&mut payload, first, largest);
+    write_u64(&mut payload, last, smallest);
+    assert_malformed(restore(&config, &payload), "a descending tail");
 }
 
 #[test]

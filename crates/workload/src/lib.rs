@@ -46,7 +46,7 @@ pub use cpuburn::CpuBurn;
 pub use periodic::{CycleCounter, PeriodicBurn};
 pub use replay::{ParseProfileError, Phase, ReplayBody, WorkloadProfile};
 pub use spec::{SpecBenchmark, SpecProfile};
-pub use web::{Connection, QosHandle, QosStats, WebConfig};
+pub use web::{Connection, QosHandle, QosStats, QosTail, WebConfig};
 
 use dimetrodon_sched::{System, ThreadId, ThreadKind};
 use dimetrodon_sim_core::SimRng;

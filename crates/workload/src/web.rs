@@ -14,8 +14,11 @@
 //! describes (delayed requests raise later load).
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
+use dimetrodon_ckpt::{fnv1a64, schema_fold, CkptError, Dec, Enc, State};
 use dimetrodon_sched::{Action, Burst, ThreadBody};
 use dimetrodon_sim_core::{SimDuration, SimRng, SimTime};
 
@@ -75,9 +78,38 @@ impl WebConfig {
             "good threshold must not exceed tolerable"
         );
     }
+
+    /// Scores one response latency against the thresholds: the one
+    /// scoring rule both QoS accumulators use.
+    fn grade(&self, latency: SimDuration) -> Grade {
+        if latency <= self.good_threshold {
+            Grade::Good
+        } else if latency <= self.tolerable_threshold {
+            Grade::Tolerable
+        } else {
+            Grade::Failed
+        }
+    }
 }
 
-/// Aggregated request latencies, scored against the QoS thresholds.
+/// A response's QoS grade.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grade {
+    Good,
+    Tolerable,
+    Failed,
+}
+
+/// The 1-based nearest-rank position of the `pct` percentile among `n`
+/// ascending samples, ⌈pct/100 · n⌉ clamped to `[1, n]`: the one rank
+/// convention both QoS accumulators use.
+fn nearest_rank(pct: f64, n: usize) -> usize {
+    ((pct / 100.0) * n as f64).ceil().max(1.0).min(n as f64) as usize
+}
+
+/// Aggregated request latencies, scored against the QoS thresholds. It
+/// keeps every latency, for the histogram and mean of Figure 6; the fleet
+/// keeps only a tail with [`QosTail`].
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct QosStats {
     latencies: Vec<f64>,
@@ -86,43 +118,16 @@ pub struct QosStats {
     failed: u64,
 }
 
-dimetrodon_ckpt::state! {
-    QosStats {
-        persisted: latencies, good, tolerable, failed;
-        derived: ;
-        check: QosStats::check_restored;
-    }
-}
-
 impl QosStats {
     /// Records one completed request's latency, scoring it against the
-    /// configuration's good/tolerable thresholds. Public so external
-    /// request models (the fleet's cluster router) feed the same
-    /// accumulator the single-machine workload uses.
+    /// configuration's good/tolerable thresholds.
     pub fn record(&mut self, latency: SimDuration, config: &WebConfig) {
         self.latencies.push(latency.as_secs_f64());
-        if latency <= config.good_threshold {
-            self.good += 1;
-        } else if latency <= config.tolerable_threshold {
-            self.tolerable += 1;
-        } else {
-            self.failed += 1;
+        match config.grade(latency) {
+            Grade::Good => self.good += 1,
+            Grade::Tolerable => self.tolerable += 1,
+            Grade::Failed => self.failed += 1,
         }
-    }
-
-    /// The restored counters must score exactly the restored latencies.
-    fn check_restored(&self) -> Result<(), dimetrodon_ckpt::CkptError> {
-        let total = self
-            .good
-            .checked_add(self.tolerable)
-            .and_then(|n| n.checked_add(self.failed));
-        if total == Some(self.latencies.len() as u64) {
-            return Ok(());
-        }
-        Err(dimetrodon_ckpt::CkptError::Malformed(format!(
-            "qos counters sum to {total:?} but {} latencies recorded",
-            self.latencies.len()
-        )))
     }
 
     /// The raw response latencies, in seconds, in completion order.
@@ -176,13 +181,139 @@ impl QosStats {
         }
         let mut sorted = self.latencies.clone();
         sorted.sort_by(f64::total_cmp);
-        // rank = ceil(pct/100 · n) clamped to [1, n]. The previous
-        // interpolated-index rounding (`round(pct/100 · (n−1))`) answered
-        // with the wrong rank — p50 of two samples rounded up to the
-        // larger — and did not implement any standard convention.
-        let n = sorted.len();
-        let rank = ((pct / 100.0) * n as f64).ceil().max(1.0).min(n as f64) as usize;
-        Some(sorted[rank - 1])
+        Some(sorted[nearest_rank(pct, sorted.len()) - 1])
+    }
+}
+
+/// The fleet's QoS accumulator: it scores every request as [`QosStats`]
+/// does, but keeps only the largest latencies, as many as the nearest-rank
+/// p99 of any request count up to a fixed budget can reach.
+///
+/// Among `n` samples the nearest-rank p99 is the `n − ⌈0.99·n⌉ + 1` =
+/// `⌊n/100⌋ + 1`-th largest (the `f64` product cannot cross an integer at
+/// these counts), which never decreases with `n`. So with at most
+/// `budget` requests recorded, the `⌊budget/100⌋ + 1` largest latencies
+/// answer [`QosTail::p99`] bit for bit as
+/// `QosStats::latency_percentile(99.0)` answers over every latency.
+#[derive(Debug, Clone)]
+pub struct QosTail {
+    requests: u64,
+    good: u64,
+    /// The largest latencies so far, smallest on top: the one to evict.
+    tail: BinaryHeap<Reverse<SimDuration>>,
+    /// The most requests the owner will record; sets the tail's bound.
+    budget: u64,
+}
+
+/// Saved as the request and good counts, then the tail in ascending order,
+/// so equal contents always encode to equal bytes.
+impl State for QosTail {
+    const SCHEMA: u64 = schema_fold(
+        fnv1a64(b"QosTail requests good tail"),
+        <Vec<SimDuration> as State>::SCHEMA,
+    );
+
+    fn save(&self, enc: &mut Enc) {
+        self.requests.save(enc);
+        self.good.save(enc);
+        let mut ascending: Vec<SimDuration> = self.tail.iter().map(|kept| kept.0).collect();
+        ascending.sort_unstable();
+        ascending.save(enc);
+    }
+
+    fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        self.requests.load(dec)?;
+        self.good.load(dec)?;
+        let mut ascending: Vec<SimDuration> = Vec::new();
+        ascending.load(dec)?;
+        let kept = self.requests.min(self.bound() as u64);
+        let problem = if self.requests > self.budget || self.good > self.requests {
+            format!(
+                "{} good of {} requests under a budget of {}",
+                self.good, self.requests, self.budget
+            )
+        } else if ascending.len() as u64 != kept {
+            format!(
+                "a tail of {} latencies where {} requests keep {kept}",
+                ascending.len(),
+                self.requests
+            )
+        } else if !ascending.is_sorted() {
+            "a tail out of ascending order".into()
+        } else {
+            self.tail = ascending.into_iter().map(Reverse).collect();
+            return Ok(());
+        };
+        Err(CkptError::Malformed(format!("qos tail: {problem}")))
+    }
+}
+
+impl QosTail {
+    /// An empty accumulator for at most `budget` requests.
+    pub fn new(budget: u64) -> QosTail {
+        QosTail {
+            requests: 0,
+            good: 0,
+            tail: BinaryHeap::new(),
+            budget,
+        }
+    }
+
+    /// How many latencies the tail keeps: `⌊budget/100⌋ + 1`.
+    fn bound(&self) -> usize {
+        (self.budget / 100 + 1) as usize
+    }
+
+    /// Records one completed request's latency, scored as
+    /// [`QosStats::record`] scores it.
+    pub fn record(&mut self, latency: SimDuration, config: &WebConfig) {
+        debug_assert!(
+            self.requests < self.budget,
+            "qos tail over its budget of {} requests",
+            self.budget
+        );
+        self.requests += 1;
+        if config.grade(latency) == Grade::Good {
+            self.good += 1;
+        }
+        if self.tail.len() < self.bound() {
+            self.tail.push(Reverse(latency));
+        } else if let Some(mut smallest) = self.tail.peek_mut() {
+            if latency > smallest.0 {
+                *smallest = Reverse(latency);
+            }
+        }
+    }
+
+    /// Total completed requests.
+    pub fn requests(&self) -> u64 {
+        self.requests
+    }
+
+    /// How many latencies the tail holds: `min(requests, ⌊budget/100⌋ + 1)`.
+    pub fn tail_len(&self) -> usize {
+        self.tail.len()
+    }
+
+    /// Fraction of requests meeting the "good" threshold, as
+    /// [`QosStats::good_fraction`] computes it.
+    pub fn good_fraction(&self) -> f64 {
+        if self.requests == 0 {
+            return 0.0;
+        }
+        self.good as f64 / self.requests as f64
+    }
+
+    /// The nearest-rank p99 latency in seconds, if any requests completed.
+    pub fn p99(&self) -> Option<f64> {
+        let n = self.requests as usize;
+        if n == 0 {
+            return None;
+        }
+        let largest_first = self.tail.clone().into_sorted_vec();
+        // The rank's distance from the top, ⌊n/100⌋, is below the tail's
+        // length for every n up to the budget.
+        Some(largest_first[n - nearest_rank(99.0, n)].0.as_secs_f64())
     }
 }
 
@@ -281,6 +412,7 @@ impl ThreadBody for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn config() -> WebConfig {
         WebConfig::paper_setup()
@@ -400,6 +532,84 @@ mod tests {
         assert_eq!(s.good_fraction(), 0.0);
         assert_eq!(s.mean_latency(), None);
         assert_eq!(s.latency_percentile(50.0), None);
+    }
+
+    /// Feeds `stream` (milliseconds) to a tail whose budget is the stream's
+    /// length and to [`QosStats`], the oracle; `check` sees both after
+    /// every request.
+    fn tail_against_every_latency(
+        stream: &[u64],
+        mut check: impl FnMut(usize, &QosTail, &QosStats),
+    ) {
+        let c = config();
+        let mut tail = QosTail::new(stream.len() as u64);
+        let mut every = QosStats::default();
+        for (n, &ms) in stream.iter().enumerate() {
+            tail.record(SimDuration::from_millis(ms), &c);
+            every.record(SimDuration::from_millis(ms), &c);
+            check(n + 1, &tail, &every);
+        }
+    }
+
+    fn same_p99(tail: &QosTail, every: &QosStats) -> bool {
+        tail.p99().map(f64::to_bits) == every.latency_percentile(99.0).map(f64::to_bits)
+            && tail.good_fraction().to_bits() == every.good_fraction().to_bits()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every count from 1 to a small budget, on a 250 ms grid that
+        /// straddles both thresholds, so ties are the rule.
+        #[test]
+        fn the_tail_answers_p99_at_every_count_up_to_its_budget(
+            steps in prop::collection::vec(0u64..40, 1..=400usize),
+        ) {
+            let stream: Vec<u64> = steps.iter().map(|step| 250 * step).collect();
+            let mut agree = true;
+            tail_against_every_latency(&stream, |n, tail, every| {
+                agree &= same_p99(tail, every);
+                agree &= tail.tail_len() as u64 == (n as u64).min(stream.len() as u64 / 100 + 1);
+            });
+            prop_assert!(agree);
+        }
+
+        /// The whole budget of a larger run, its tail a hundredth of it.
+        #[test]
+        fn the_tail_answers_p99_at_a_full_large_budget(
+            stream in prop::collection::vec(0u64..8_000, 2_000..=20_000usize),
+        ) {
+            let mut last = false;
+            tail_against_every_latency(&stream, |n, tail, every| {
+                if n == stream.len() {
+                    last = same_p99(tail, every);
+                }
+            });
+            prop_assert!(last);
+        }
+    }
+
+    #[test]
+    fn a_restored_tail_encodes_and_answers_as_the_saved_one() {
+        let c = config();
+        let mut tail = QosTail::new(1_000);
+        for ms in [900u64, 10, 4_000, 10, 7_500, 3_000, 10, 12_000, 6_000, 900, 2_000, 8_000] {
+            tail.record(SimDuration::from_millis(ms), &c);
+        }
+        let mut enc = Enc::new();
+        tail.save(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut restored = QosTail::new(1_000);
+        let mut dec = Dec::new(&bytes);
+        restored.load(&mut dec).unwrap();
+        dec.finish().unwrap();
+        let mut again = Enc::new();
+        restored.save(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        assert_eq!(restored.p99(), tail.p99());
+        assert_eq!(restored.good_fraction(), tail.good_fraction());
+        // A budget of 1 000 keeps the 11 largest of the 12.
+        assert_eq!(restored.tail_len(), 11);
     }
 
     #[test]
