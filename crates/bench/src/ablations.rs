@@ -98,7 +98,7 @@ fn injection_model(table: &mut Table, config: RunConfig) {
             f64::NAN
         } else {
             out.temp_series
-                .mean_over(SimTime::ZERO + (config.duration - config.measure_window))
+                .mean_over(config.measure_from())
                 .expect("sampled")
         };
         push(table, "injection_model", name, "physical_tail_c", physical);
@@ -164,7 +164,7 @@ fn scheduler_choice(table: &mut Table, config: RunConfig) {
             .collect();
         system.run_until(SimTime::ZERO + config.duration);
         let observed = system
-            .observed_temp_over(SimTime::ZERO + (config.duration - config.measure_window))
+            .observed_temp_over(config.measure_from())
             .expect("samples");
         let idle = system.machine().idle_temperature();
         let executed: f64 = ids
@@ -436,7 +436,7 @@ fn preventive_vs_reactive(table: &mut Table, config: RunConfig) {
             .collect();
         system.run_until(SimTime::ZERO + config.duration);
         let observed = system
-            .observed_temp_over(SimTime::ZERO + (config.duration - config.measure_window))
+            .observed_temp_over(config.measure_from())
             .expect("samples");
         let executed: f64 = ids
             .iter()

@@ -124,9 +124,6 @@ pub enum CkptError {
         /// How many candidate files were tried and rejected.
         tried: usize,
     },
-    /// A restored state diverged from the recorded one (verified-replay
-    /// restore found a bit-difference at the checkpoint boundary).
-    StateMismatch,
 }
 
 impl fmt::Display for CkptError {
@@ -151,10 +148,6 @@ impl fmt::Display for CkptError {
             CkptError::NoVerifiable { tried } => write!(
                 f,
                 "checkpoint error: {tried} checkpoint file(s) found but none verifies"
-            ),
-            CkptError::StateMismatch => write!(
-                f,
-                "checkpoint error: replayed state diverged from the recorded checkpoint"
             ),
         }
     }

@@ -6,7 +6,7 @@ use dimetrodon::{
 };
 use dimetrodon_analysis::Table;
 use dimetrodon_faults::{FaultPlan, FaultyHook, FaultyTelemetry, SensorSpec};
-use dimetrodon_machine::{CoreId, Machine, MachineConfig, MachineError, ThermalTrip};
+use dimetrodon_machine::{Machine, MachineConfig, MachineError, ThermalTrip};
 use dimetrodon_sched::{
     BsdScheduler, SchedConfig, SchedHook, Scheduler, System, ThreadId, ThreadKind, UleScheduler,
 };
@@ -318,14 +318,6 @@ impl Report {
             out.push_str(trace);
         }
         out
-    }
-
-    /// Per-core final coretemp line (diagnostic).
-    pub fn coretemp_line(system: &System) -> String {
-        let temps: Vec<String> = (0..system.machine().num_physical_cores())
-            .map(|i| format!("cpu{i}={}C", system.machine().coretemp(CoreId(i))))
-            .collect();
-        temps.join(" ")
     }
 }
 

@@ -38,8 +38,6 @@ pub struct PolicyPlanner {
     quantum: SimDuration,
     /// Shortest idle quantum the planner will emit.
     min_idle: SimDuration,
-    /// Largest injection probability the planner will emit.
-    max_p: f64,
     /// Fitted trade-off, if calibrated.
     tradeoff: Option<PowerLawTradeoff>,
 }
@@ -92,7 +90,8 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 impl PolicyPlanner {
-    /// Default probability cap.
+    /// The probability cap: the largest injection probability the
+    /// planner will emit.
     pub const DEFAULT_MAX_P: f64 = 0.95;
     /// Default shortest idle quantum (1 ms — the paper's observed
     /// efficiency optimum "closer to the order of one ms").
@@ -108,7 +107,6 @@ impl PolicyPlanner {
         PolicyPlanner {
             quantum,
             min_idle: Self::DEFAULT_MIN_IDLE,
-            max_p: Self::DEFAULT_MAX_P,
             tradeoff: None,
         }
     }
@@ -117,17 +115,6 @@ impl PolicyPlanner {
     /// [`for_temperature_reduction`](Self::for_temperature_reduction).
     pub fn with_tradeoff(mut self, tradeoff: PowerLawTradeoff) -> Self {
         self.tradeoff = Some(tradeoff);
-        self
-    }
-
-    /// Overrides the probability cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_p` is outside `(0, 1)`.
-    pub fn with_max_p(mut self, max_p: f64) -> Self {
-        assert!((0.0..1.0).contains(&max_p) && max_p > 0.0, "max_p must be in (0, 1)");
-        self.max_p = max_p;
         self
     }
 
@@ -159,7 +146,7 @@ impl PolicyPlanner {
             )]
             let p =
                 p_for_throughput_reduction(budget, l_over_q).expect("budget < 1 always solvable");
-            if p <= self.max_p {
+            if p <= Self::DEFAULT_MAX_P {
                 return Ok(InjectionParams::new(p, l));
             }
             let next = l * 2;

@@ -62,15 +62,6 @@ impl SensorSpec {
         }
     }
 
-    /// Whether every degradation in the spec is disabled.
-    pub fn is_ideal(&self) -> bool {
-        self.noise_sigma <= 0.0
-            && self.quantum_celsius <= 0.0
-            && self.staleness.is_zero()
-            && self.dropout_p <= 0.0
-            && self.power_noise_sigma <= 0.0
-    }
-
     fn validate(&self) {
         assert!(
             self.noise_sigma.is_finite() && self.noise_sigma >= 0.0,

@@ -114,7 +114,7 @@ fn run_mix(p: Option<f64>, scope: PolicyScope, config: RunConfig) -> MixOutcome 
     system.run_until(SimTime::ZERO + config.duration);
     #[expect(clippy::expect_used, reason = "the run covers the measure window")]
     let tail_temp = system
-        .observed_temp_over(SimTime::ZERO + (config.duration - config.measure_window))
+        .observed_temp_over(config.measure_from())
         .expect("samples exist");
     MixOutcome {
         tail_temp,

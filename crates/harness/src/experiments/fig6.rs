@@ -74,7 +74,7 @@ fn run_web(policy_params: Option<InjectionParams>, config: RunConfig) -> WebOutc
     system.run_until(SimTime::ZERO + config.duration);
     #[expect(clippy::expect_used, reason = "the run covers the measure window")]
     let tail_temp = system
-        .observed_temp_over(SimTime::ZERO + (config.duration - config.measure_window))
+        .observed_temp_over(config.measure_from())
         .expect("samples exist");
     WebOutcome {
         tail_temp,

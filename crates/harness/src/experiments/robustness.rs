@@ -198,7 +198,7 @@ pub fn run_cell(intensity: f64, variant: ControllerVariant, config: RunConfig) -
         .collect();
     system.run_until(SimTime::ZERO + config.duration);
 
-    let measure_from = SimTime::ZERO + (config.duration - config.measure_window);
+    let measure_from = config.measure_from();
     let mut sq_sum = 0.0;
     let mut samples = 0usize;
     let mut peak = f64::MIN;

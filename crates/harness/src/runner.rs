@@ -76,7 +76,9 @@ impl RunConfig {
         }
     }
 
-    fn measure_from(&self) -> SimTime {
+    /// Start of the measurement window: `duration − measure_window` into
+    /// the run.
+    pub fn measure_from(&self) -> SimTime {
         SimTime::ZERO + (self.duration - self.measure_window)
     }
 }
@@ -90,8 +92,10 @@ pub struct RunOutcome {
     pub tail_temp: f64,
     /// Executed CPU time per core-second of run, in `[0, 1]`.
     pub throughput: f64,
-    /// The sampled (true, die-bulk) mean-core-temperature series of the
-    /// whole run — physical ground truth for diagnostics.
+    /// The sampled (true, die-bulk) mean-core-temperature series over the
+    /// measurement window, the samples at or after
+    /// [`RunConfig::measure_from`] — physical ground truth for
+    /// diagnostics, whose mean is the run's physical tail temperature.
     pub temp_series: TimeSeries,
     /// The observed temperature curve: dispatch-point sensor readings
     /// binned into one-second means — what the paper's monitor plots.
@@ -326,7 +330,7 @@ fn measure(system: &System, ids: &[ThreadId], idle_temp: f64, config: RunConfig)
         idle_temp,
         tail_temp,
         throughput: executed / (cores * config.duration.as_secs_f64()),
-        temp_series: system.mean_temp_series().clone(),
+        temp_series: system.mean_temp_series().since(config.measure_from()),
         observed_curve,
         injected_idles: system.total_injected_idles(),
     }
@@ -335,6 +339,7 @@ fn measure(system: &System, ids: &[ThreadId], idle_temp: f64, config: RunConfig)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dimetrodon_sched::SchedConfig;
 
     fn quick() -> RunConfig {
         RunConfig {
@@ -541,6 +546,30 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(series(&plain), series(&chunked));
+    }
+
+    #[test]
+    fn an_outcome_keeps_only_the_measurement_window_of_its_series() {
+        let (workload, actuation, config) = (SaturatingWorkload::CpuBurn, Actuation::None, quick());
+        let outcome = characterize(workload, actuation, config);
+        let machine = MachineConfig::xeon_e5520();
+        let (mut system, _, _) = start_run(&machine, workload, actuation, config);
+        system.run_until(SimTime::ZERO + config.duration);
+        let full = system.mean_temp_series();
+        let from = config.measure_from();
+        let window = &outcome.temp_series;
+        let (first, _) = window.iter().next().expect("the window is sampled");
+        assert!(first >= from, "window starts at {first}, before {from}");
+        let interval = SchedConfig::default().sample_interval;
+        assert_eq!(
+            window.len() as u64,
+            config.measure_window.as_nanos() / interval.as_nanos() + 1
+        );
+        assert_eq!(window.name(), full.name());
+        assert_eq!(
+            window.mean_over(from).map(f64::to_bits),
+            full.mean_over(from).map(f64::to_bits)
+        );
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //! only sanctioned `Instant::now` suppressions.
 //!
 //! The journal stores the whole [`RunOutcome`]: the scalar metrics, the
-//! observed dispatch curve and the physical temperature series (times as
-//! nanoseconds), so a replayed outcome is the computed one.
+//! observed dispatch curve and the physical temperature series of the
+//! measurement window (times as nanoseconds), so a replayed outcome is
+//! the computed one.
 
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;

@@ -421,11 +421,6 @@ impl Machine {
         self.core_pstates[phys].unwrap_or(self.pstate)
     }
 
-    /// The current chip-wide operating point.
-    pub fn operating_point(&self) -> PState {
-        self.config.pstates.state(self.pstate)
-    }
-
     /// The operating point in force on a physical core.
     pub fn core_operating_point(&self, phys: usize) -> PState {
         self.config.pstates.state(self.effective_pstate(phys))

@@ -141,12 +141,28 @@ impl TimeSeries {
     /// the last 30 seconds of a 300 second execution" is
     /// `mean_over(SimTime::from_secs(270))`.
     pub fn mean_over(&self, from: SimTime) -> Option<f64> {
-        let start = self.times.partition_point(|&t| t < from);
-        let tail = &self.values[start..];
+        let tail = &self.values[self.start_of(from)..];
         if tail.is_empty() {
             return None;
         }
         Some(tail.iter().sum::<f64>() / tail.len() as f64)
+    }
+
+    /// The samples with `time >= from`, in order, as a series of the same
+    /// name: the window [`TimeSeries::mean_over`] averages, so the copy's
+    /// `mean_over(from)` is bit-identical to this series'.
+    pub fn since(&self, from: SimTime) -> TimeSeries {
+        let start = self.start_of(from);
+        TimeSeries {
+            name: self.name.clone(),
+            times: self.times[start..].to_vec(),
+            values: self.values[start..].to_vec(),
+        }
+    }
+
+    /// Index of the first sample with `time >= from`.
+    fn start_of(&self, from: SimTime) -> usize {
+        self.times.partition_point(|&t| t < from)
     }
 
     /// Integrates the series as a step function (each value holds until the
@@ -279,6 +295,29 @@ mod tests {
             let a = s.mean().unwrap();
             let b = s.mean_over(SimTime::ZERO).unwrap();
             prop_assert!((a - b).abs() < 1e-9);
+        }
+
+        /// since(from) keeps exactly the samples at or after `from`, in
+        /// order and under the same name, and averages them bit for bit
+        /// as mean_over(from) does on the whole series.
+        #[test]
+        fn prop_since_is_the_mean_over_window(
+            values in prop::collection::vec(-1e3f64..1e3, 1..50),
+            cut_ms in 0u64..60,
+        ) {
+            let mut s = TimeSeries::new("w");
+            for (i, &v) in values.iter().enumerate() {
+                s.push(SimTime::from_millis(i as u64), v);
+            }
+            let from = SimTime::from_millis(cut_ms);
+            let window = s.since(from);
+            prop_assert_eq!(window.name(), "w");
+            let kept: Vec<_> = s.iter().filter(|&(t, _)| t >= from).collect();
+            prop_assert_eq!(window.iter().collect::<Vec<_>>(), kept);
+            prop_assert_eq!(
+                window.mean_over(from).map(f64::to_bits),
+                s.mean_over(from).map(f64::to_bits)
+            );
         }
 
         /// min <= mean <= max for any non-empty series.

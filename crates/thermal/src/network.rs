@@ -467,15 +467,6 @@ impl ThermalNetwork {
         self.topo.names.len()
     }
 
-    /// The name a node was registered with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not from this network.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.topo.names[node.0]
-    }
-
     /// Node ids in insertion order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.topo.names.len()).map(NodeId)

@@ -175,7 +175,9 @@ fn deterministic_injection_is_reproducible_and_smoother() {
     // measured temperature is systematically lower at the same duty — an
     // ablation finding this reproduction documents in EXPERIMENTS.md.)
     let physical_tail = |o: &dimetrodon_repro::harness::RunOutcome| {
-        o.temp_series.mean_over(SimTime::from_secs(80)).expect("sampled")
+        o.temp_series
+            .mean_over(quick(0).measure_from())
+            .expect("sampled")
     };
     assert!((physical_tail(&det) - physical_tail(&prob)).abs() < 1.0);
     assert!(
