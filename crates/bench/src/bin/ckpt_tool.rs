@@ -11,9 +11,10 @@
 //! Every command takes a checkpoint (`*.ckpt`) or a journal
 //! (`*.journal`), told apart by their magic. `info` verifies and
 //! summarizes a checkpoint (exit 1 on any decode error), or prints a
-//! journal's kind, version, fingerprint, count of verifying records, and
-//! the offset of the first frame that fails to verify (exit 1 only when
-//! the magic or header frame does not verify). `flip` and `truncate`
+//! journal's kind, version, header fingerprint (the run's, folded with
+//! the record schema), count of verifying records, and the offset of the
+//! first frame that fails to verify (exit 1 only when the magic or
+//! header frame does not verify). `flip` and `truncate`
 //! corrupt a file **in place** — they exist so CI can damage a real file
 //! and assert the restore or resume path copes. `torture` applies every
 //! single-bit flip (thinned by the optional stride; default covers every

@@ -116,7 +116,7 @@ pub fn ckpt_dir() -> PathBuf {
 /// journals are cheap and resumability is worth more than the disk.
 pub fn journal_gc(keep: usize, active_fingerprints: &[u64]) {
     let dir = results_dir().join(".journal");
-    let removed = supervise::gc_journals(&dir, keep, active_fingerprints);
+    let removed = dimetrodon_ckpt::gc_journals(&dir, keep, active_fingerprints);
     if removed > 0 {
         println!("[journal-gc: removed {removed} old journal file(s), kept last {keep}]");
     }

@@ -10,7 +10,7 @@
 //!               | frame* (header frame first, then state frames)
 //! journal    := magic "DMTRJRNL" (8 bytes)
 //!               | frame(kind bytes, JOURNAL_FORMAT_VERSION u32, fingerprint u64)
-//!               | frame* (one record per completed unit)
+//!               | frame* (one record per completed unit: key u64 | State fields)
 //! frame      := len (u32 LE) | payload (len bytes) | fnv1a64(payload) (u64 LE)
 //! ```
 //!
@@ -24,11 +24,13 @@
 //! IEEE-754 bit patterns (see [`Enc::f64`]), so a decoded value is
 //! *bit-identical* to the encoded one.
 //!
-//! What goes into a state frame is declared once per type through the
-//! [`State`] protocol (see [`state!`]); a checkpoint's identity is the
-//! owning run's config fingerprint folded with the declared
-//! [`State::SCHEMA`] of everything it saves, so [`CKPT_FORMAT_VERSION`]
-//! versions only the container.
+//! What goes into a state frame or a journal record is declared once per
+//! type through the [`State`] protocol (see [`state!`]). A checkpoint's
+//! identity is the owning run's config fingerprint folded with the
+//! declared [`State::SCHEMA`] of everything it saves, and a journal's is
+//! its run's fingerprint folded with its record type's, so
+//! [`CKPT_FORMAT_VERSION`] and [`JOURNAL_FORMAT_VERSION`] version only
+//! the containers.
 //!
 //! Corruption tolerance is by construction, not by luck:
 //!
@@ -51,7 +53,8 @@ mod journal;
 mod state;
 
 pub use journal::{
-    scan_journal, Journal, JournalHeader, JournalScan, JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
+    gc_journals, journal_path, scan_journal, Journal, JournalHeader, JournalScan,
+    JOURNAL_FORMAT_VERSION, JOURNAL_MAGIC,
 };
 #[doc(hidden)]
 pub use state::field_schema;
@@ -209,17 +212,6 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
-    /// Appends `Some(f64)` as tag 1 + bits, `None` as tag 0.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
     /// Appends length-prefixed raw bytes.
     pub fn bytes(&mut self, v: &[u8]) {
         self.seq_len(v.len());
@@ -302,15 +294,6 @@ impl<'a> Dec<'a> {
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an optional `f64` (tag byte + bits).
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, CkptError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            other => Err(CkptError::Malformed(format!("bad option tag {other}"))),
-        }
     }
 
     /// Reads length-prefixed raw bytes.
@@ -635,8 +618,8 @@ mod tests {
         vec![1.5, 2.5, 3.5].save(&mut a);
         a.bool(true);
         let mut b = Enc::new();
-        b.opt_f64(Some(6.25));
-        b.opt_f64(None);
+        Some(6.25).save(&mut b);
+        None::<f64>.save(&mut b);
         b.bytes(b"nested");
         vec![a.into_bytes(), b.into_bytes()]
     }

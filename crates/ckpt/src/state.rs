@@ -13,17 +13,19 @@
 //! Structs declare their fields once, with [`state!`](crate::state); the
 //! macro names every field exactly once, so a field added to the struct
 //! but to neither list does not build, and it folds the persisted field
-//! names into [`State::SCHEMA`], which checkpoint fingerprints include.
+//! names into [`State::SCHEMA`], which checkpoint and journal
+//! fingerprints include.
 
 use crate::{fnv1a64, extend_hash, CkptError, Dec, Enc};
 
 /// A value a checkpoint saves, and restores in place into a value freshly
-/// built from the same configuration.
+/// built from the same configuration; a journal record, loaded into
+/// `Default::default()`.
 pub trait State {
     /// Compile-time hash of the persisted layout: the type's name and
     /// persisted field names, folded with each field type's own schema.
-    /// Mixed into checkpoint fingerprints, so a checkpoint written under
-    /// another field set is never a restore candidate.
+    /// Mixed into checkpoint and journal fingerprints, so a file written
+    /// under another field set is never restored or replayed.
     const SCHEMA: u64;
 
     /// Appends the persisted state to a frame payload.
@@ -95,6 +97,21 @@ impl State for usize {
         let v = dec.u64()?;
         *self =
             usize::try_from(v).map_err(|_| CkptError::Malformed(format!("{v} overflows usize")))?;
+        Ok(())
+    }
+}
+
+/// Length-prefixed UTF-8 bytes; any other bytes are `Malformed`.
+impl State for String {
+    const SCHEMA: u64 = fnv1a64(b"String");
+    fn save(&self, enc: &mut Enc) {
+        enc.bytes(self.as_bytes());
+    }
+    fn load(&mut self, dec: &mut Dec<'_>) -> Result<(), CkptError> {
+        let text = std::str::from_utf8(dec.bytes()?)
+            .map_err(|_| CkptError::Malformed("string is not UTF-8".into()))?;
+        self.clear();
+        self.push_str(text);
         Ok(())
     }
 }

@@ -26,7 +26,6 @@ enum Item {
     U64(u64),
     Bool(bool),
     F64Bits(u64),
-    OptF64Bits(Option<u64>),
     F64Slice(Vec<u64>),
     U64Slice(Vec<u64>),
     BoolSlice(Vec<bool>),
@@ -40,7 +39,6 @@ fn item_strategy() -> impl Strategy<Value = Item> {
         any::<u64>().prop_map(Item::U64),
         any::<bool>().prop_map(Item::Bool),
         any::<u64>().prop_map(Item::F64Bits),
-        prop::option::of(any::<u64>()).prop_map(Item::OptF64Bits),
         prop::collection::vec(any::<u64>(), 0..8).prop_map(Item::F64Slice),
         prop::collection::vec(any::<u64>(), 0..8).prop_map(Item::U64Slice),
         prop::collection::vec(any::<bool>(), 0..8).prop_map(Item::BoolSlice),
@@ -63,7 +61,6 @@ fn encode_items(items: &[Item]) -> Vec<u8> {
             Item::U64(v) => enc.u64(*v),
             Item::Bool(v) => enc.bool(*v),
             Item::F64Bits(bits) => enc.f64(f64::from_bits(*bits)),
-            Item::OptF64Bits(bits) => enc.opt_f64(bits.map(f64::from_bits)),
             Item::F64Slice(bits) => {
                 let vs: Vec<f64> = bits.iter().copied().map(f64::from_bits).collect();
                 vs.save(&mut enc);
@@ -87,9 +84,6 @@ fn assert_items_round_trip(payload: &[u8], items: &[Item]) {
             Item::U64(v) => assert_eq!(dec.u64().unwrap(), *v),
             Item::Bool(v) => assert_eq!(dec.bool().unwrap(), *v),
             Item::F64Bits(bits) => assert_eq!(dec.f64().unwrap().to_bits(), *bits),
-            Item::OptF64Bits(bits) => {
-                assert_eq!(dec.opt_f64().unwrap().map(f64::to_bits), *bits)
-            }
             Item::F64Slice(bits) => {
                 let mut got: Vec<f64> = Vec::new();
                 got.load(&mut dec).unwrap();

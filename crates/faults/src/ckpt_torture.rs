@@ -230,18 +230,13 @@ mod tests {
 
     #[test]
     fn every_corruption_of_a_real_journal_keeps_exactly_the_records_before_it() {
-        let path = std::env::temp_dir()
-            .join(format!("dimetrodon-torture-{}", std::process::id()))
-            .join("unit.journal");
-        let (journal, _) = Journal::open(&path, "unit", 0xFEED_BEEF, false);
-        for i in 0..3u64 {
-            let mut record = Enc::new();
-            record.u64(i);
-            vec![0.25, -0.5, 3.75].save(&mut record);
-            journal.append(&record.into_bytes());
+        let dir = std::env::temp_dir().join(format!("dimetrodon-torture-{}", std::process::id()));
+        let journal: Journal<Vec<f64>> = Journal::open(&dir, "unit", 0xFEED_BEEF, false);
+        for key in 0..3u64 {
+            journal.append(key, &vec![0.25, -0.5, 3.75]);
         }
-        let image = std::fs::read(&path).unwrap();
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        let image = std::fs::read(journal.path()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
         let report = torture_journal(&image, 1).unwrap();
         assert_eq!(report.cases, 9 * image.len() as u64);
         assert!(report.clean(), "damage got through: {:?}", report.accepted);

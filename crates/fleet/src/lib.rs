@@ -53,7 +53,7 @@ pub use experiment::{
     fleet_comparison_checkpointed, fleet_comparison_with, fleet_table, FleetOutcome,
 };
 pub use health::{HealthModel, HealthState};
-pub use journal::{chaos_journal_path, journal_path, ChaosJournal, FleetJournal};
+pub use journal::{ChaosJournal, FleetJournal};
 pub use policy::{
     CoolestFirst, FailoverPolicy, FleetView, LeastLoaded, PinnedMigrate, PolicyKind, RoundRobin,
     RoutePolicy,

@@ -63,8 +63,9 @@ const TENANT_WEIGHT_RANGE: (f64, f64) = (0.25, 4.0);
 /// never reach it, so it is applied on the degraded-CRAC path only.
 pub const MAX_CRAC_FAILURE_INLET_CELSIUS: f64 = 70.0;
 
-/// What one rack experienced over a run.
-#[derive(Debug, Clone, PartialEq)]
+/// What one rack experienced over a run; the fleet journal's record is
+/// one variant's reports.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RackReport {
     /// Rack index.
     pub rack: usize,
@@ -84,6 +85,14 @@ pub struct RackReport {
     /// Nearest-rank p99 response latency, seconds; `None` when the rack
     /// served no requests.
     pub p99_latency_s: Option<f64>,
+}
+
+dimetrodon_ckpt::state! {
+    RackReport {
+        persisted: rack, machines, peak_celsius, rms_celsius, trips, requests, good_fraction,
+            p99_latency_s;
+        derived: ;
+    }
 }
 
 /// The fleet arena. Cloning a fleet mid-run forks the whole simulation —
@@ -204,7 +213,8 @@ impl ChaosStats {
 
 /// Availability-under-failure summary of one fleet run; `None`-valued
 /// fields had nothing to measure (no degraded epochs, no recoveries).
-#[derive(Debug, Clone, PartialEq)]
+/// The chaos journal's record.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosMetrics {
     /// Requests offered to the router.
     pub arrived_requests: u64,
@@ -241,6 +251,16 @@ pub struct ChaosMetrics {
     pub trips: u64,
     /// Peak machine temperature seen anywhere in the fleet, °C.
     pub peak_celsius: f64,
+}
+
+dimetrodon_ckpt::state! {
+    ChaosMetrics {
+        persisted: arrived_requests, shed_requests, shed_fraction, arrived_cpu_s, served_cpu_s,
+            shed_cpu_s, capacity_mean, capacity_min, healthy_epochs, degraded_epochs,
+            p99_healthy_s, p99_degraded_s, recoveries, recovery_mean_s, recovery_max_s, trips,
+            peak_celsius;
+        derived: ;
+    }
 }
 
 impl Fleet {

@@ -10,8 +10,8 @@ use std::fs;
 use dimetrodon_ckpt::scan_journal;
 use dimetrodon_faults::{FleetFaultKind, FleetFaultPlan, FleetTarget};
 use dimetrodon_fleet::{
-    chaos_comparison_with, chaos_journal_path, chaos_table, fleet_comparison_with, fleet_table,
-    ChaosGrid, ChaosJournal, FleetConfig, FleetJournal, PolicyKind, RECOVERY_HYSTERESIS_EPOCHS,
+    chaos_comparison_with, chaos_table, fleet_comparison_with, fleet_table, ChaosGrid,
+    ChaosJournal, FleetConfig, FleetJournal, PolicyKind, RECOVERY_HYSTERESIS_EPOCHS,
 };
 use dimetrodon_sim_core::{SimDuration, SimTime};
 
@@ -63,18 +63,19 @@ fn a_chaos_journal_for_a_different_grid_is_never_replayed() {
         std::process::id()
     ));
     fs::create_dir_all(&dir).expect("create journal dir");
-    assert_ne!(
-        chaos_journal_path(&dir, grid.fingerprint()),
-        chaos_journal_path(&dir, other.fingerprint()),
-        "fingerprinted filenames keep grids apart"
-    );
 
     let other_journal = ChaosJournal::open(&dir, &other, false);
     let outcomes = chaos_comparison_with(2, &other, Some(&other_journal));
     assert_eq!(outcomes.len(), other.points().len());
+    let other_path = other_journal.path().to_path_buf();
     drop(other_journal);
 
     let mine = ChaosJournal::open(&dir, &grid, true);
+    assert_ne!(
+        mine.path(),
+        other_path,
+        "fingerprinted filenames keep grids apart"
+    );
     assert_eq!(mine.replayed_count(), 0, "a different grid must not replay");
 
     fs::remove_dir_all(&dir).expect("remove journal dir");

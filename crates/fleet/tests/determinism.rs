@@ -6,9 +6,7 @@
 use std::fs;
 use std::io::Write as _;
 
-use dimetrodon_fleet::{
-    fleet_comparison_with, fleet_table, journal_path, FleetConfig, FleetJournal, PolicyKind,
-};
+use dimetrodon_fleet::{fleet_comparison_with, fleet_table, FleetConfig, FleetJournal, PolicyKind};
 use dimetrodon_sim_core::SimDuration;
 
 /// The suite's reference fleet: 64 machines (four racks), shortened to
@@ -57,6 +55,7 @@ fn a_journal_for_a_different_config_is_never_replayed() {
     let other_journal = FleetJournal::open(&dir, other.fingerprint(), false);
     let outcomes = fleet_comparison_with(1, &other, Some(&other_journal));
     assert_eq!(outcomes.len(), PolicyKind::ALL.len());
+    let path = other_journal.path().to_path_buf();
     drop(other_journal);
 
     let mine = FleetJournal::open(&dir, config.fingerprint(), true);
@@ -65,7 +64,6 @@ fn a_journal_for_a_different_config_is_never_replayed() {
 
     // Garbage appended after the valid records ends the journal there
     // without poisoning the records before it.
-    let path = journal_path(&dir, other.fingerprint());
     let mut file = fs::OpenOptions::new()
         .append(true)
         .open(&path)

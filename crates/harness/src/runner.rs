@@ -83,8 +83,8 @@ impl RunConfig {
     }
 }
 
-/// What a characterisation run produced.
-#[derive(Debug, Clone)]
+/// What a characterisation run produced; the sweep journal's record.
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// Idle (all-cores-idle steady state) mean die temperature, °C.
     pub idle_temp: f64,
@@ -102,6 +102,13 @@ pub struct RunOutcome {
     pub observed_curve: Vec<(f64, f64)>,
     /// Total idle quanta injected.
     pub injected_idles: u64,
+}
+
+dimetrodon_ckpt::state! {
+    RunOutcome {
+        persisted: idle_temp, tail_temp, throughput, temp_series, observed_curve, injected_idles;
+        derived: ;
+    }
 }
 
 impl RunOutcome {

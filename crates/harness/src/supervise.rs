@@ -42,21 +42,22 @@
 //! any result value — which is why this module carries the workspace's
 //! only sanctioned `Instant::now` suppressions.
 //!
-//! The journal stores the whole [`RunOutcome`]: the scalar metrics, the
-//! observed dispatch curve and the physical temperature series of the
-//! measurement window (times as nanoseconds), so a replayed outcome is
-//! the computed one.
+//! The journal stores the whole [`RunOutcome`], as its `state!`
+//! declaration lists it: the scalar metrics, the physical temperature
+//! series of the measurement window (times as nanoseconds) and the
+//! observed dispatch curve, so a replayed outcome is the computed one.
+//! The declaration's schema is part of the journal's identity, so a
+//! journal written under another outcome layout is never replayed.
 
-use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use std::time::Instant;
 
-use dimetrodon_ckpt::{fnv1a64, CkptError, Dec, Enc, Journal};
-use dimetrodon_sim_core::{derive_seed, SimTime, TimeSeries};
+use dimetrodon_ckpt::{fnv1a64, Journal};
+use dimetrodon_sim_core::{derive_seed, TimeSeries};
 
 use crate::runner::{characterize_while, RunOutcome};
 use crate::sweep::{parallel_map_with, SweepPoint};
@@ -268,149 +269,10 @@ pub fn fingerprint_sweep(points: &[SweepPoint]) -> u64 {
 
 // --- Journal -------------------------------------------------------------
 
-/// The journal file path for a sweep inside `dir`.
-pub fn journal_path(dir: &Path, sweep_fingerprint: u64) -> PathBuf {
-    dir.join(format!("sweep-{sweep_fingerprint:016x}.journal"))
-}
-
-/// Keep-last-K retention for the journal directory (`--journal-gc K`):
-/// deletes `*.journal` files beyond the `keep` most recently modified,
-/// except that a file whose name embeds any of `active_fingerprints`
-/// (the hex forms every journal family uses) is **never** deleted, no
-/// matter how old — garbage collection must not eat the journal the
-/// current run is appending to or about to resume from. Returns how
-/// many files were removed; all I/O errors are best-effort skips, so a
-/// GC pass can never fail a run.
-pub fn gc_journals(dir: &Path, keep: usize, active_fingerprints: &[u64]) -> usize {
-    let active: Vec<String> = active_fingerprints
-        .iter()
-        .map(|fp| format!("{fp:016x}"))
-        .collect();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "file mtimes order GC candidates only; no result ever observes them"
-    )]
-    let mut journals: Vec<(std::time::SystemTime, PathBuf)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            let name = path.file_name()?.to_str()?;
-            if !name.ends_with(".journal") {
-                return None;
-            }
-            if active.iter().any(|hex| name.contains(hex.as_str())) {
-                return None;
-            }
-            let modified = entry.metadata().ok()?.modified().ok()?;
-            Some((modified, path))
-        })
-        .collect();
-    // Newest first; ties break on the path so the order is total.
-    journals.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let mut removed = 0;
-    for (_, path) in journals.into_iter().skip(keep) {
-        if std::fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// A sweep's journal: the outcomes replayed at open, keyed by point
-/// fingerprint, and the file completed points append to.
-///
-/// Each record is one point's whole outcome in a checksummed frame; the
-/// journal's own identity is the sweep fingerprint.
-#[derive(Debug)]
-pub struct SweepJournal {
-    journal: Journal,
-    replayed: BTreeMap<u64, RunOutcome>,
-}
-
-impl SweepJournal {
-    /// Opens the journal of the sweep with fingerprint `sweep` (see
-    /// [`fingerprint_sweep`]) inside `dir`. With `resume`, the records of
-    /// the longest verifying prefix replay (later records for a point
-    /// win) and new ones append after them; without it, any existing
-    /// journal for the sweep is truncated.
-    pub fn open(dir: &Path, sweep: u64, resume: bool) -> SweepJournal {
-        let (journal, records) = Journal::open(&journal_path(dir, sweep), "sweep", sweep, resume);
-        let replayed = records
-            .iter()
-            .filter_map(|record| decode_record(record).ok())
-            .collect();
-        SweepJournal { journal, replayed }
-    }
-
-    /// Points loaded for replay at open.
-    pub fn replayed_count(&self) -> usize {
-        self.replayed.len()
-    }
-
-    /// The replayed outcome of the point with `fingerprint`, if its
-    /// record survived.
-    pub fn replayed(&self, fingerprint: u64) -> Option<&RunOutcome> {
-        self.replayed.get(&fingerprint)
-    }
-
-    /// Appends one completed point. Thread-safe; workers append in
-    /// completion order.
-    pub fn append(&self, fingerprint: u64, outcome: &RunOutcome) {
-        let mut enc = Enc::new();
-        enc.u64(fingerprint);
-        enc.f64(outcome.idle_temp);
-        enc.f64(outcome.tail_temp);
-        enc.f64(outcome.throughput);
-        enc.u64(outcome.injected_idles);
-        enc.bytes(outcome.temp_series.name().as_bytes());
-        enc.seq_len(outcome.temp_series.len());
-        for (at, value) in outcome.temp_series.iter() {
-            enc.u64(at.as_nanos());
-            enc.f64(value);
-        }
-        enc.seq_len(outcome.observed_curve.len());
-        for &(t, v) in &outcome.observed_curve {
-            enc.f64(t);
-            enc.f64(v);
-        }
-        self.journal.append(&enc.into_bytes());
-    }
-}
-
-/// Decodes one [`SweepJournal::append`] record into `(fingerprint,
-/// outcome)`.
-fn decode_record(record: &[u8]) -> Result<(u64, RunOutcome), CkptError> {
-    let mut dec = Dec::new(record);
-    let fingerprint = dec.u64()?;
-    let idle_temp = dec.f64()?;
-    let tail_temp = dec.f64()?;
-    let throughput = dec.f64()?;
-    let injected_idles = dec.u64()?;
-    let mut temp_series = TimeSeries::new(String::from_utf8_lossy(dec.bytes()?));
-    for _ in 0..dec.seq_len()? {
-        let (at, value) = (SimTime::from_nanos(dec.u64()?), dec.f64()?);
-        if value.is_nan() || temp_series.last().is_some_and(|(last, _)| at < last) {
-            return Err(CkptError::Malformed("unordered or NaN series sample".into()));
-        }
-        temp_series.push(at, value);
-    }
-    let observed_curve = (0..dec.seq_len()?)
-        .map(|_| Ok((dec.f64()?, dec.f64()?)))
-        .collect::<Result<Vec<_>, CkptError>>()?;
-    dec.finish()?;
-    let outcome = RunOutcome {
-        idle_temp,
-        tail_temp,
-        throughput,
-        temp_series,
-        observed_curve,
-        injected_idles,
-    };
-    Ok((fingerprint, outcome))
-}
+/// A sweep's journal (kind `sweep`, identified by [`fingerprint_sweep`]):
+/// one [`RunOutcome`] record per completed point, keyed by
+/// [`fingerprint_point`].
+pub type SweepJournal = Journal<RunOutcome>;
 
 // --- Supervised execution ----------------------------------------------
 
@@ -539,7 +401,7 @@ fn run_supervised_with(
     let journal = config
         .journal_dir
         .as_ref()
-        .map(|dir| SweepJournal::open(dir, sweep, config.resume));
+        .map(|dir| SweepJournal::open(dir, "sweep", sweep, config.resume));
     #[expect(
         clippy::disallowed_methods,
         reason = "the budget clock gates whether points start; it never flows into results"
@@ -839,50 +701,12 @@ mod tests {
         drop(run_supervised(&points, &config));
         drop(run_supervised(&points, &config));
         assert_eq!(take_replayed(), 0, "fresh runs never replay");
-        let journal = SweepJournal::open(&dir, fingerprint_sweep(&points), true);
+        let journal = SweepJournal::open(&dir, "sweep", fingerprint_sweep(&points), true);
         assert_eq!(
             journal.replayed_count(),
             1,
             "truncation must discard the first run"
         );
         drop(std::fs::remove_dir_all(&dir));
-    }
-
-    #[test]
-    fn journal_gc_keeps_last_k_and_never_deletes_active_fingerprints() {
-        let dir = std::env::temp_dir().join(format!("dimetrodon-journal-gc-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create dir");
-        let active_fp: u64 = 0xA11CE;
-        // The active journal is the OLDEST file — worst case for an
-        // mtime-ordered GC.
-        let mut paths = vec![journal_path(&dir, active_fp)];
-        for fp in 1..=4u64 {
-            paths.push(dir.join(format!("fleet-{fp:016x}.journal")));
-        }
-        paths.push(dir.join("not-a-journal.txt"));
-        let base = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
-        for (age, path) in paths.iter().enumerate() {
-            std::fs::write(path, "journal\n").expect("write");
-            let file = std::fs::File::options().write(true).open(path).expect("open");
-            file.set_modified(base + std::time::Duration::from_secs(age as u64))
-                .expect("set mtime");
-        }
-
-        let removed = gc_journals(&dir, 2, &[active_fp]);
-        assert_eq!(removed, 2, "4 inactive journals, keep 2");
-        assert!(
-            journal_path(&dir, active_fp).exists(),
-            "GC must never delete the active fingerprint's journal"
-        );
-        assert!(dir.join("not-a-journal.txt").exists(), "non-journals untouched");
-        // The two newest inactive journals survive, the two oldest are gone.
-        assert!(!dir.join(format!("fleet-{:016x}.journal", 1u64)).exists());
-        assert!(!dir.join(format!("fleet-{:016x}.journal", 2u64)).exists());
-        assert!(dir.join(format!("fleet-{:016x}.journal", 3u64)).exists());
-        assert!(dir.join(format!("fleet-{:016x}.journal", 4u64)).exists());
-
-        assert_eq!(gc_journals(&dir, 2, &[active_fp]), 0, "GC is idempotent");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

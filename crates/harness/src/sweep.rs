@@ -23,9 +23,10 @@
 //!
 //! If a point panics, the pool stops claiming new indices immediately
 //! (a poisoned flag checked in the claim loop) and the first panic payload
-//! is re-raised at join — the rest of the grid is not burned first. Sweeps
-//! that need to *survive* a panicking point instead of aborting run under
-//! the [`supervise`](crate::supervise) layer, which [`run_sweep`] consults.
+//! is re-raised at join — the rest of the grid is not burned first.
+//! [`run_sweep`] runs every sweep through the [`supervise`] layer, whose
+//! installed configuration decides whether a panicking point aborts the
+//! sweep or is survived.
 //!
 //! # Examples
 //!
@@ -42,8 +43,8 @@ use std::sync::Mutex;
 
 use dimetrodon_machine::MachineConfig;
 
-use crate::runner::{characterize_on, Actuation, RunConfig, RunOutcome, SaturatingWorkload};
-use crate::supervise;
+use crate::runner::{Actuation, RunConfig, RunOutcome, SaturatingWorkload};
+use crate::supervise::{self, PanicPolicy, SupervisorConfig};
 
 pub use dimetrodon_sim_core::derive_seed;
 
@@ -221,27 +222,26 @@ impl SweepPoint {
 /// Runs every point's characterisation across the worker pool, returning
 /// outcomes in point order.
 ///
-/// When a [`supervise::SupervisorConfig`] is installed (the bench binaries
-/// install one from their flags), each point runs under the
-/// supervision layer: panics are quarantined instead of aborting the
-/// sweep, points can carry deadlines and bounded retries, and completed
-/// points are journaled to disk so an interrupted run resumes without
+/// Every sweep runs under the supervision layer, with the installed
+/// [`SupervisorConfig`] (the bench binaries install one from their
+/// flags): panics are quarantined instead of aborting the sweep, points
+/// can carry deadlines and bounded retries, and completed points are
+/// journaled to disk so an interrupted run resumes without
 /// recomputation. Failed points surface as
 /// [`supervise::unavailable_outcome`] placeholders (NaN temperatures,
 /// zero throughput) and are recorded as incidents for the caller to
-/// report. With no supervisor installed this is exactly the bare pool:
-/// a panic propagates and tears the sweep down.
+/// report. With no supervisor installed the config is
+/// [`PanicPolicy::Strict`] with nothing else set, so a panic propagates
+/// and tears the sweep down.
 pub fn run_sweep(points: &[SweepPoint]) -> Vec<RunOutcome> {
-    match supervise::installed() {
-        Some(config) => supervise::run_supervised(points, &config)
-            .into_iter()
-            .map(supervise::PointOutcome::into_outcome)
-            .collect(),
-        None => parallel_map(points.len(), |i| {
-            let point = &points[i];
-            characterize_on(&point.machine, point.workload, point.actuation, point.config)
-        }),
-    }
+    let config = supervise::installed().unwrap_or(SupervisorConfig {
+        policy: PanicPolicy::Strict,
+        ..SupervisorConfig::default()
+    });
+    supervise::run_supervised(points, &config)
+        .into_iter()
+        .map(supervise::PointOutcome::into_outcome)
+        .collect()
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use dimetrodon_ckpt::scan_journal;
+use dimetrodon_ckpt::{journal_path, scan_journal};
 use dimetrodon_harness::supervise::{
-    fingerprint_point, fingerprint_sweep, journal_path, run_supervised, take_incidents,
-    take_replayed, IncidentKind, PointOutcome, SupervisorConfig, SweepJournal,
+    fingerprint_point, fingerprint_sweep, run_supervised, take_incidents, take_replayed,
+    IncidentKind, PointOutcome, SupervisorConfig, SweepJournal,
 };
 use dimetrodon_harness::sweep::{set_jobs, SweepPoint};
 use dimetrodon_harness::{Actuation, RunConfig, RunOutcome, SaturatingWorkload};
@@ -125,8 +125,8 @@ proptest! {
         let dir = scratch_dir(&format!("cycle-{fingerprint:016x}"));
         let sweep = fingerprint_sweep(&[tiny_point(fingerprint)]);
         let cycle = |outcome: &RunOutcome| {
-            SweepJournal::open(&dir, sweep, false).append(fingerprint, outcome);
-            let reopened = SweepJournal::open(&dir, sweep, true);
+            SweepJournal::open(&dir, "sweep", sweep, false).append(fingerprint, outcome);
+            let reopened = SweepJournal::open(&dir, "sweep", sweep, true);
             assert_eq!(reopened.replayed_count(), 1);
             reopened.replayed(fingerprint).cloned()
         };
@@ -197,7 +197,8 @@ proptest! {
         // "Kill" the run after `kill_after` records: keep the header and
         // the first records (journal order is completion order, not grid
         // order), then tear the next frame in half as SIGKILL would.
-        let bytes = std::fs::read(journal_path(&ref_dir, sweep)).expect("reference journal");
+        let bytes =
+            std::fs::read(journal_path(&ref_dir, "sweep", sweep)).expect("reference journal");
         let scan = scan_journal(&bytes).expect("reference journal verifies");
         prop_assert_eq!(scan.records.len(), POINTS);
         let cut = match scan.record_ends.get(kill_after) {
@@ -210,7 +211,8 @@ proptest! {
             let dir = scratch_dir(&format!("resume-{seed}-{kill_after}-{workers}"));
             drop(std::fs::remove_dir_all(&dir));
             std::fs::create_dir_all(&dir).expect("scratch dir");
-            std::fs::write(journal_path(&dir, sweep), kept).expect("write truncated journal");
+            std::fs::write(journal_path(&dir, "sweep", sweep), kept)
+                .expect("write truncated journal");
             set_jobs(workers);
             take_replayed();
             let resumed = run_supervised(
@@ -234,7 +236,7 @@ proptest! {
             // The resumed run cut the torn frame off and appended after
             // the intact records: every point replays with the reference
             // measurements, so a *second* resume would be pure replay.
-            let healed = SweepJournal::open(&dir, sweep, true);
+            let healed = SweepJournal::open(&dir, "sweep", sweep, true);
             prop_assert_eq!(healed.replayed_count(), POINTS);
             for (point, outcome) in points.iter().zip(&reference) {
                 let PointOutcome::Ok(outcome) = outcome else {
@@ -358,14 +360,14 @@ fn a_damaged_sweep_journal_replays_exactly_the_records_before_the_damage() {
     let reference = run_supervised(&points, &config);
     let reference_csv = outcomes_csv(&reference);
     let sweep = fingerprint_sweep(&points);
-    let path = journal_path(&dir, sweep);
+    let path = journal_path(&dir, "sweep", sweep);
     let bytes = std::fs::read(&path).expect("journal written");
     let ends = scan_journal(&bytes).expect("journal verifies").record_ends;
     assert_eq!(ends.len(), points.len());
 
     let replays_prefix = |damaged: &[u8], damaged_at: usize| {
         std::fs::write(&path, damaged).expect("write damaged journal");
-        let journal = SweepJournal::open(&dir, sweep, true);
+        let journal = SweepJournal::open(&dir, "sweep", sweep, true);
         let intact = ends.iter().filter(|&&end| end <= damaged_at).count();
         assert_eq!(journal.replayed_count(), intact, "damage at byte {damaged_at}");
         for (point, outcome) in points.iter().zip(&reference).take(intact) {

@@ -24,11 +24,20 @@ use crate::time::{SimDuration, SimTime};
 /// // 10 W for 0.5 s, then 20 W for 0.5 s = 15 J.
 /// assert!((power.integrate_step() - 15.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     name: String,
     times: Vec<SimTime>,
     values: Vec<f64>,
+}
+
+// A journaled series is checked to be one that `push` could have built.
+dimetrodon_ckpt::state! {
+    TimeSeries {
+        persisted: name, times, values;
+        derived: ;
+        check: TimeSeries::check_loaded;
+    }
 }
 
 impl TimeSeries {
@@ -55,6 +64,20 @@ impl TimeSeries {
     pub fn reserve(&mut self, additional: usize) {
         self.times.reserve(additional);
         self.values.reserve(additional);
+    }
+
+    /// `Malformed` unless every time has a value, times never decrease
+    /// and no value is NaN.
+    fn check_loaded(&self) -> Result<(), dimetrodon_ckpt::CkptError> {
+        let paired = self.times.len() == self.values.len();
+        let ordered = self.times.windows(2).all(|pair| pair[0] <= pair[1]);
+        if paired && ordered && !self.values.iter().any(|v| v.is_nan()) {
+            Ok(())
+        } else {
+            Err(dimetrodon_ckpt::CkptError::Malformed(
+                "unpaired, unordered or NaN series sample".into(),
+            ))
+        }
     }
 
     /// The series name.
@@ -271,6 +294,32 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.integrate_step(), 0.0);
         assert_eq!(s.span(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn a_saved_series_loads_back_and_one_push_would_reject_is_typed() {
+        use dimetrodon_ckpt::{CkptError, Dec, Enc, State};
+        let round_trip = |saved: &TimeSeries| {
+            let mut enc = Enc::new();
+            saved.save(&mut enc);
+            let mut loaded = TimeSeries::default();
+            loaded
+                .load(&mut Dec::new(&enc.into_bytes()))
+                .map(|()| loaded)
+        };
+        let saved = series(&[(0, 1.0), (100, -0.5), (100, 3.5)]);
+        assert_eq!(round_trip(&saved), Ok(saved.clone()));
+        // An unpaired, an out-of-order and a NaN sample.
+        let forgeries: [fn(&mut TimeSeries); 3] = [
+            |s| s.values.truncate(2),
+            |s| s.times.swap(0, 1),
+            |s| s.values[0] = f64::NAN,
+        ];
+        for forge in forgeries {
+            let mut forged = saved.clone();
+            forge(&mut forged);
+            assert!(matches!(round_trip(&forged), Err(CkptError::Malformed(_))));
+        }
     }
 
     proptest! {

@@ -45,20 +45,26 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
-/// Checkpointed as its nanosecond count.
-impl dimetrodon_ckpt::State for SimDuration {
-    const SCHEMA: u64 = dimetrodon_ckpt::fnv1a64(b"SimDuration");
-    fn save(&self, enc: &mut dimetrodon_ckpt::Enc) {
-        enc.u64(self.0);
-    }
-    fn load(
-        &mut self,
-        dec: &mut dimetrodon_ckpt::Dec<'_>,
-    ) -> Result<(), dimetrodon_ckpt::CkptError> {
-        self.0 = dec.u64()?;
-        Ok(())
-    }
+/// Instants and spans are saved as their nanosecond counts.
+macro_rules! nanos_state {
+    ($($ty:ident),*) => {$(
+        impl dimetrodon_ckpt::State for $ty {
+            const SCHEMA: u64 = dimetrodon_ckpt::fnv1a64(stringify!($ty).as_bytes());
+            fn save(&self, enc: &mut dimetrodon_ckpt::Enc) {
+                enc.u64(self.0);
+            }
+            fn load(
+                &mut self,
+                dec: &mut dimetrodon_ckpt::Dec<'_>,
+            ) -> Result<(), dimetrodon_ckpt::CkptError> {
+                self.0 = dec.u64()?;
+                Ok(())
+            }
+        }
+    )*};
 }
+
+nanos_state!(SimTime, SimDuration);
 
 impl SimTime {
     /// The start of the simulation.
