@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the simulation substrate: how fast the
-//! event queue, thermal integrator, machine model, and full system run.
+//! thermal integrator, machine model, and full system run.
 //! These guard the simulator's own performance (a 300 s characterisation
 //! must stay interactive) rather than reproduce paper results — the
 //! `experiments` bench file and the `fig*` binaries do that.
@@ -8,24 +8,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dimetrodon_machine::{Machine, MachineConfig};
 use dimetrodon_power::CoreState;
 use dimetrodon_sched::{Spin, System, ThreadKind};
-use dimetrodon_sim_core::{EventQueue, SimDuration, SimTime};
+use dimetrodon_sim_core::{SimDuration, SimTime};
 use dimetrodon_thermal::ThermalNetworkBuilder;
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_1k", |b| {
-        b.iter_batched(
-            EventQueue::<u32>::new,
-            |mut queue| {
-                for i in 0..1000u32 {
-                    queue.push(SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))), i);
-                }
-                while queue.pop().is_some() {}
-                queue
-            },
-            BatchSize::SmallInput,
-        );
-    });
-}
 
 fn bench_thermal_advance(c: &mut Criterion) {
     let mut builder = ThermalNetworkBuilder::new(25.0);
@@ -84,7 +68,6 @@ fn bench_full_system_second(c: &mut Criterion) {
 
 criterion_group!(
     substrate,
-    bench_event_queue,
     bench_thermal_advance,
     bench_machine_advance,
     bench_full_system_second

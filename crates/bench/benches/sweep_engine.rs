@@ -1,14 +1,13 @@
 //! Benchmarks of the parallel sweep engine: how many characterisation
 //! runs per second the worker pool sustains at one worker versus one per
-//! core, plus the event-queue micro-benchmark that bounds the serial
-//! event loop. `BENCH_sweeps.json` at the repo root records a baseline
-//! captured from this bench (see EXPERIMENTS.md).
+//! core. `BENCH_sweeps.json` at the repo root records a baseline captured
+//! from this bench (see EXPERIMENTS.md).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dimetrodon::{InjectionModel, InjectionParams};
 use dimetrodon_harness::sweep::{self, run_sweep, SweepPoint};
 use dimetrodon_harness::{Actuation, RunConfig, SaturatingWorkload};
-use dimetrodon_sim_core::{EventQueue, SimDuration, SimTime};
+use dimetrodon_sim_core::SimDuration;
 
 /// The benchmark grid: 8 independent cpuburn characterisations, short
 /// enough to sample repeatedly but long enough to dominate pool overhead.
@@ -53,24 +52,5 @@ fn bench_sweep_engine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("sweep_event_queue_push_pop_4k", |b| {
-        b.iter_batched(
-            || EventQueue::<u32>::with_capacity(4096),
-            |mut queue| {
-                for i in 0..4096u32 {
-                    queue.push(
-                        SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
-                        i,
-                    );
-                }
-                while queue.pop().is_some() {}
-                queue
-            },
-            BatchSize::SmallInput,
-        );
-    });
-}
-
-criterion_group!(benches, bench_sweep_engine, bench_event_queue);
+criterion_group!(benches, bench_sweep_engine);
 criterion_main!(benches);

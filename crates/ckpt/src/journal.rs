@@ -12,7 +12,7 @@
 //! version, or fingerprint does not match — including a version 1 text
 //! journal, and a journal of another record layout, whose
 //! [`State::SCHEMA`] is folded into the header fingerprint — is not read
-//! at all and the journal starts fresh.
+//! at all and the journal starts fresh, with a warning that says why.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -115,6 +115,33 @@ pub fn scan_journal(bytes: &[u8]) -> Result<JournalScan, CkptError> {
     Ok(scan)
 }
 
+/// The scan of journal `bytes` if their header is `expected`, else why a
+/// resume cannot replay them: the scan's error for a damaged magic or
+/// header frame, `VersionSkew`, `Malformed` naming another journal kind,
+/// or `FingerprintMismatch` for another run or record layout.
+fn replayable(bytes: &[u8], expected: &JournalHeader) -> Result<JournalScan, CkptError> {
+    let scan = scan_journal(bytes)?;
+    let found = &scan.header;
+    if found.version != expected.version {
+        Err(CkptError::VersionSkew {
+            found: found.version,
+            expected: expected.version,
+        })
+    } else if found.kind != expected.kind {
+        Err(CkptError::Malformed(format!(
+            "a `{}` journal where a `{}` journal belongs",
+            found.kind, expected.kind
+        )))
+    } else if found.fingerprint != expected.fingerprint {
+        Err(CkptError::FingerprintMismatch {
+            found: found.fingerprint,
+            expected: expected.fingerprint,
+        })
+    } else {
+        Ok(scan)
+    }
+}
+
 /// The file the `kind` journal of the run with `fingerprint` lives in
 /// inside `dir`: `{kind}-{fingerprint:016x}.journal`.
 pub fn journal_path(dir: &Path, kind: &str, fingerprint: u64) -> PathBuf {
@@ -146,7 +173,9 @@ impl<R: State + Default> Journal<R> {
     /// wins; one that does not decode whole is skipped), the file is
     /// truncated after them, and new records append there. Otherwise — no
     /// `resume`, no file, or a file with another header — the file is
-    /// truncated and starts over with a fresh header.
+    /// truncated and starts over with a fresh header; a file `resume`
+    /// cannot replay gets a `warning:` line on stderr that names it and
+    /// says why.
     pub fn open(dir: &Path, kind: &str, fingerprint: u64, resume: bool) -> Journal<R> {
         let path = journal_path(dir, kind, fingerprint);
         let header = JournalHeader {
@@ -154,16 +183,17 @@ impl<R: State + Default> Journal<R> {
             version: JOURNAL_FORMAT_VERSION,
             fingerprint: schema_fold(fingerprint, R::SCHEMA),
         };
-        let scan = if resume {
-            fs::read(&path)
-                .ok()
-                .and_then(|bytes| scan_journal(&bytes).ok())
-        } else {
-            None
-        };
-        let (keep, records) = match scan {
-            Some(scan) if scan.header == header => (scan.valid_len, scan.records),
-            _ => (0, Vec::new()),
+        let bytes = if resume { fs::read(&path).ok() } else { None };
+        let (keep, records) = match bytes.map(|bytes| replayable(&bytes, &header)) {
+            Some(Ok(scan)) => (scan.valid_len, scan.records),
+            Some(Err(why)) => {
+                eprintln!(
+                    "warning: journal {} not replayed ({why}); starting it over",
+                    path.display()
+                );
+                (0, Vec::new())
+            }
+            None => (0, Vec::new()),
         };
         let replayed = records
             .iter()
@@ -402,6 +432,54 @@ mod tests {
         // It started the file over under its own header.
         drop(other);
         assert!(replayed(&dir).is_empty());
+    }
+
+    #[test]
+    fn a_resume_names_why_it_cannot_replay_a_file() {
+        let (_, bytes) = written("why");
+        let ours = scan_journal(&bytes).unwrap().header;
+        assert!(replayable(&bytes, &ours).is_ok());
+        let why = |expected: JournalHeader| replayable(&bytes, &expected).err();
+        let version = JOURNAL_FORMAT_VERSION + 1;
+        assert_eq!(
+            why(JournalHeader {
+                version,
+                ..ours.clone()
+            }),
+            Some(CkptError::VersionSkew {
+                found: JOURNAL_FORMAT_VERSION,
+                expected: version,
+            })
+        );
+        assert!(matches!(
+            why(JournalHeader {
+                kind: "sweep".to_string(),
+                ..ours.clone()
+            }),
+            Some(CkptError::Malformed(what)) if what.contains("`unit` journal")
+        ));
+        let other_layout = schema_fold(0xfeed, <(f64, Vec<usize>)>::SCHEMA);
+        assert_eq!(
+            why(JournalHeader {
+                fingerprint: other_layout,
+                ..ours.clone()
+            }),
+            Some(CkptError::FingerprintMismatch {
+                found: ours.fingerprint,
+                expected: other_layout,
+            })
+        );
+        // A text journal, a header frame cut short, and one flipped bit in
+        // the header's payload (past the magic and the 4-byte length).
+        let mut flipped = bytes.clone();
+        flipped[JOURNAL_MAGIC.len() + 4] ^= 1;
+        for (damaged, err) in [
+            (&b"# dimetrodon fleet journal v1\n"[..], CkptError::BadMagic),
+            (&bytes[..JOURNAL_MAGIC.len() + 6], CkptError::Truncated),
+            (&flipped[..], CkptError::ChecksumMismatch),
+        ] {
+            assert_eq!(replayable(damaged, &ours).err(), Some(err));
+        }
     }
 
     #[test]

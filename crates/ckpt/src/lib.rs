@@ -99,7 +99,8 @@ const fn extend_hash(mut hash: u64, bytes: &[u8]) -> u64 {
 pub enum CkptError {
     /// Filesystem-level failure (open, read, write, rename).
     Io(String),
-    /// The file does not start with [`CKPT_MAGIC`].
+    /// The file does not start with [`CKPT_MAGIC`] (a journal: with
+    /// [`JOURNAL_MAGIC`]).
     BadMagic,
     /// The file was written by a different format version.
     VersionSkew {
@@ -133,7 +134,10 @@ impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CkptError::Io(err) => write!(f, "checkpoint I/O error: {err}"),
-            CkptError::BadMagic => write!(f, "checkpoint error: bad magic (not a checkpoint file)"),
+            CkptError::BadMagic => write!(
+                f,
+                "checkpoint error: bad magic (not a checkpoint or journal file)"
+            ),
             CkptError::VersionSkew { found, expected } => write!(
                 f,
                 "checkpoint error: version skew (file v{found}, this build reads v{expected})"

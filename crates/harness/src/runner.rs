@@ -501,6 +501,27 @@ mod tests {
     }
 
     #[test]
+    fn a_quick_figure_3_point_pops_a_pinned_number_of_events() {
+        // `fig3 --quick`'s p = 0.25, L = 5 ms point: its seed is fig3's 103
+        // plus the grid offset 0·97 + 1·13 + 1. Work counters are gated
+        // exactly, so a change to the event path that adds, drops or
+        // reorders an event fails here by name.
+        let config = RunConfig::quick(103 + 13 + 1);
+        let actuation = Actuation::Injection {
+            params: InjectionParams::new(0.25, SimDuration::from_millis(5)),
+            model: InjectionModel::Probabilistic,
+        };
+        let machine = MachineConfig::xeon_e5520();
+        let (mut system, _, _) =
+            start_run(&machine, SaturatingWorkload::CpuBurn, actuation, config);
+        let end = SimTime::ZERO + config.duration;
+        let events = system.run_events(u64::MAX, end);
+        system.run_until(end);
+        assert_eq!(events, 65_985);
+        assert_eq!(system.total_injected_idles(), 1_934);
+    }
+
+    #[test]
     fn a_run_stopped_before_it_starts_returns_no_outcome() {
         let machine = MachineConfig::xeon_e5520();
         let outcome = characterize_while(

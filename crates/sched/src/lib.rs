@@ -36,6 +36,7 @@
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert exact, deterministic values"))]
 
 mod body;
+mod calendar;
 mod hook;
 mod scheduler;
 mod system;

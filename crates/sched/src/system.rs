@@ -24,8 +24,9 @@
 
 use dimetrodon_machine::{CoreId, Machine};
 use dimetrodon_power::{CoreState as PowerCoreState, PowerMeter};
-use dimetrodon_sim_core::{EventQueue, SimDuration, SimTime, TimeSeries};
+use dimetrodon_sim_core::{SimDuration, SimTime, TimeSeries};
 
+use crate::calendar::{Calendar, CoreEventKind, Event};
 use crate::hook::{Decision, NullHook, SchedHook, ScheduleContext};
 use crate::scheduler::{BsdScheduler, Scheduler};
 use crate::thread::{Action, Burst, ThreadBody, ThreadId, ThreadKind, ThreadStats};
@@ -62,26 +63,6 @@ impl Default for SchedConfig {
             thermal_aware_placement: false,
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CoreEventKind {
-    SwitchDone,
-    SliceEnd,
-    BurstEnd,
-    InjectedIdleEnd,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Core {
-        core: usize,
-        token: u64,
-        kind: CoreEventKind,
-    },
-    Wakeup(ThreadId),
-    Sample,
-    Tick,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +111,6 @@ enum CoreRun {
 
 #[derive(Debug, Clone)]
 struct CoreCtl {
-    token: u64,
     run: CoreRun,
     last_thread: Option<ThreadId>,
     /// Set when an injected idle just ended; the next thread dispatch pays
@@ -168,7 +148,7 @@ pub struct System {
     config: SchedConfig,
     threads: Vec<ThreadState>,
     cores: Vec<CoreCtl>,
-    queue: EventQueue<Event>,
+    calendar: Calendar,
     now: SimTime,
     last_advance: SimTime,
     mean_temp: TimeSeries,
@@ -199,12 +179,9 @@ impl System {
         config: SchedConfig,
     ) -> Self {
         let num_cores = machine.num_cores();
-        // Pending events at steady state: a few per core plus per-thread
-        // wakeups and the periodic Sample/Tick pair; 64 covers every
-        // workload here without a single heap reallocation.
-        let mut queue = EventQueue::with_capacity(64);
-        queue.push(SimTime::ZERO, Event::Sample);
-        queue.push(SimTime::ZERO + config.tick_interval, Event::Tick);
+        let mut calendar = Calendar::new(num_cores);
+        calendar.push(SimTime::ZERO, Event::Sample);
+        calendar.push(SimTime::ZERO + config.tick_interval, Event::Tick);
         System {
             machine,
             scheduler,
@@ -213,13 +190,12 @@ impl System {
             threads: Vec::new(),
             cores: (0..num_cores)
                 .map(|_| CoreCtl {
-                    token: 0,
                     run: CoreRun::Idle,
                     last_thread: None,
                     cold: false,
                 })
                 .collect(),
-            queue,
+            calendar,
             now: SimTime::ZERO,
             last_advance: SimTime::ZERO,
             mean_temp: TimeSeries::new("mean_core_temp_c"),
@@ -391,10 +367,7 @@ impl System {
     /// at `t`), then advances the machine model to exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
         self.reserve_samples_until(t);
-        while let Some(scheduled) = self.queue.pop_at_or_before(t) {
-            self.advance_to(scheduled.at);
-            self.dispatch(scheduled.event);
-        }
+        while self.step(t) {}
         self.advance_to(t);
     }
 
@@ -417,27 +390,20 @@ impl System {
     }
 
     /// Dispatches at most `max_events` events at or before `deadline`
-    /// and returns how many actually ran. The pop/advance/dispatch loop
-    /// is the same one [`run_until`](Self::run_until) uses, so a run
-    /// driven through `run_events` in any number of chunks (to count its
-    /// events, say) and finished with `run_until(deadline)` is
-    /// bit-identical to a single uninterrupted `run_until(deadline)`.
+    /// and returns how many it popped. Each is the same step
+    /// [`run_until`](Self::run_until) takes, so a run driven through
+    /// `run_events` in any number of chunks (to count its events, say)
+    /// and finished with `run_until(deadline)` is bit-identical to a
+    /// single uninterrupted `run_until(deadline)`.
     ///
-    /// A return value smaller than `max_events` means the queue holds no
-    /// more events at or before the deadline; the machine model has
-    /// *not* been advanced to the deadline yet — that is
+    /// A return value smaller than `max_events` means no more events are
+    /// pending at or before the deadline; the machine model has *not*
+    /// been advanced to the deadline yet — that is
     /// `run_until(deadline)`'s closing step.
     pub fn run_events(&mut self, max_events: u64, deadline: SimTime) -> u64 {
         let mut dispatched = 0;
-        while dispatched < max_events {
-            match self.queue.pop_at_or_before(deadline) {
-                Some(scheduled) => {
-                    self.advance_to(scheduled.at);
-                    self.dispatch(scheduled.event);
-                    dispatched += 1;
-                }
-                None => break,
-            }
+        while dispatched < max_events && self.step(deadline) {
+            dispatched += 1;
         }
         dispatched
     }
@@ -445,23 +411,28 @@ impl System {
     /// Runs until every thread in `ids` has exited or `deadline` passes.
     /// Returns `true` if all exited.
     pub fn run_until_exited(&mut self, ids: &[ThreadId], deadline: SimTime) -> bool {
-        loop {
-            if ids.iter().all(|&id| self.has_exited(id)) {
-                return true;
-            }
-            match self.queue.pop_at_or_before(deadline) {
-                Some(scheduled) => {
-                    self.advance_to(scheduled.at);
-                    self.dispatch(scheduled.event);
-                }
-                None => return ids.iter().all(|&id| self.has_exited(id)),
+        while !ids.iter().all(|&id| self.has_exited(id)) {
+            if !self.step(deadline) {
+                return false;
             }
         }
+        true
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// Pops the earliest event at or before `deadline`, advances the
+    /// machine to it and dispatches it; `false` when none is due.
+    fn step(&mut self, deadline: SimTime) -> bool {
+        let Some((at, event)) = self.calendar.pop_at_or_before(deadline) else {
+            return false;
+        };
+        self.advance_to(at);
+        self.dispatch(event);
+        true
+    }
 
     fn advance_to(&mut self, t: SimTime) {
         if t > self.last_advance {
@@ -487,17 +458,12 @@ impl System {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::Core { core, token, kind } => {
-                if self.cores[core].token != token {
-                    return; // stale plan
-                }
-                match kind {
-                    CoreEventKind::SwitchDone => self.on_switch_done(core),
-                    CoreEventKind::SliceEnd => self.on_slice_end(core),
-                    CoreEventKind::BurstEnd => self.on_burst_end(core),
-                    CoreEventKind::InjectedIdleEnd => self.on_injected_idle_end(core),
-                }
-            }
+            Event::Core { core, kind } => match kind {
+                CoreEventKind::SwitchDone => self.on_switch_done(core),
+                CoreEventKind::SliceEnd => self.on_slice_end(core),
+                CoreEventKind::BurstEnd => self.on_burst_end(core),
+                CoreEventKind::InjectedIdleEnd => self.on_injected_idle_end(core),
+            },
             Event::Wakeup(id) => self.on_wakeup(id),
             Event::Sample => {
                 self.mean_temp
@@ -506,13 +472,13 @@ impl System {
                     let t = self.machine.core_temperature(CoreId(core));
                     self.core_temps[core].push(self.now, t);
                 }
-                self.queue
+                self.calendar
                     .push(self.now + self.config.sample_interval, Event::Sample);
             }
             Event::Tick => {
                 self.scheduler.decay();
                 self.hook.on_tick(self.now, &self.machine);
-                self.queue
+                self.calendar
                     .push(self.now + self.config.tick_interval, Event::Tick);
             }
         }
@@ -535,7 +501,7 @@ impl System {
                         continue; // zero sleeps resolve immediately
                     }
                     self.threads[idx].run = ThreadRun::Sleeping;
-                    self.queue.push(self.now + d, Event::Wakeup(id));
+                    self.calendar.push(self.now + d, Event::Wakeup(id));
                     self.record_trace(TraceEvent::Sleep {
                         thread: id,
                         duration: d,
@@ -593,7 +559,6 @@ impl System {
     /// go idle.
     fn schedule_core(&mut self, core: usize) {
         let Some(tid) = self.scheduler.pick(CoreId(core)) else {
-            self.cores[core].token += 1;
             self.cores[core].run = CoreRun::Idle;
             self.machine.set_core_idle(CoreId(core));
             return;
@@ -654,25 +619,18 @@ impl System {
             self.finish_switch(core, target);
             return;
         }
-        self.cores[core].token += 1;
-        let token = self.cores[core].token;
         self.cores[core].run = CoreRun::Switching { target };
         // Kernel switch code is ordinary active execution.
         self.machine
             .set_core_state(CoreId(core), PowerCoreState::active(0.5));
-        self.queue.push(
-            self.now + cost,
-            Event::Core {
-                core,
-                token,
-                kind: CoreEventKind::SwitchDone,
-            },
-        );
+        let kind = CoreEventKind::SwitchDone;
+        self.calendar
+            .push(self.now + cost, Event::Core { core, kind });
     }
 
     fn on_switch_done(&mut self, core: usize) {
         let CoreRun::Switching { target } = self.cores[core].run else {
-            unreachable!("SwitchDone with valid token implies Switching");
+            unreachable!("a core's SwitchDone ends its Switching");
         };
         self.finish_switch(core, target);
     }
@@ -681,21 +639,14 @@ impl System {
         match target {
             SwitchTarget::Run(tid) => self.begin_run(core, tid),
             SwitchTarget::Idle { pinned, quantum } => {
-                self.cores[core].token += 1;
-                let token = self.cores[core].token;
                 self.cores[core].run = CoreRun::InjectedIdle { pinned };
                 self.cores[core].last_thread = None;
                 // The governor knows the quantum length up front, so it
                 // can pick a deep state when the residency is worth it.
                 self.machine.set_core_idle_for(CoreId(core), Some(quantum));
-                self.queue.push(
-                    self.now + quantum,
-                    Event::Core {
-                        core,
-                        token,
-                        kind: CoreEventKind::InjectedIdleEnd,
-                    },
-                );
+                let kind = CoreEventKind::InjectedIdleEnd;
+                self.calendar
+                    .push(self.now + quantum, Event::Core { core, kind });
             }
         }
     }
@@ -732,8 +683,6 @@ impl System {
             .expect("running thread has a pending burst");
         self.machine
             .set_core_state(CoreId(core), PowerCoreState::active(burst.activity));
-        self.cores[core].token += 1;
-        let token = self.cores[core].token;
         self.cores[core].run = CoreRun::Running {
             thread: tid,
             slice_end,
@@ -742,25 +691,12 @@ impl System {
         };
         let wall_needed = SimDuration::from_secs_f64(burst.cpu_time.as_secs_f64() / speed);
         let burst_end = self.now + wall_needed;
-        if burst_end <= slice_end {
-            self.queue.push(
-                burst_end,
-                Event::Core {
-                    core,
-                    token,
-                    kind: CoreEventKind::BurstEnd,
-                },
-            );
+        let (at, kind) = if burst_end <= slice_end {
+            (burst_end, CoreEventKind::BurstEnd)
         } else {
-            self.queue.push(
-                slice_end,
-                Event::Core {
-                    core,
-                    token,
-                    kind: CoreEventKind::SliceEnd,
-                },
-            );
-        }
+            (slice_end, CoreEventKind::SliceEnd)
+        };
+        self.calendar.push(at, Event::Core { core, kind });
     }
 
     fn on_slice_end(&mut self, core: usize) {
@@ -771,7 +707,7 @@ impl System {
             ..
         } = self.cores[core].run
         else {
-            unreachable!("SliceEnd with valid token implies Running");
+            unreachable!("a core's SliceEnd ends its Running");
         };
         let ran = self.now - segment_start;
         let progress = ran.mul_f64(speed);
@@ -801,7 +737,7 @@ impl System {
             speed,
         } = self.cores[core].run
         else {
-            unreachable!("BurstEnd with valid token implies Running");
+            unreachable!("a core's BurstEnd ends its Running");
         };
         let ran = self.now - segment_start;
         let ts = &mut self.threads[thread.0 as usize];
@@ -845,7 +781,7 @@ impl System {
                     self.resolve_action(tid);
                 } else {
                     self.threads[idx].run = ThreadRun::Sleeping;
-                    self.queue.push(self.now + d, Event::Wakeup(tid));
+                    self.calendar.push(self.now + d, Event::Wakeup(tid));
                     self.record_trace(TraceEvent::Sleep {
                         thread: tid,
                         duration: d,
@@ -865,7 +801,7 @@ impl System {
 
     fn on_injected_idle_end(&mut self, core: usize) {
         let CoreRun::InjectedIdle { pinned } = self.cores[core].run else {
-            unreachable!("InjectedIdleEnd with valid token implies InjectedIdle");
+            unreachable!("a core's InjectedIdleEnd ends its InjectedIdle");
         };
         self.cores[core].cold = true;
         // Unpin: the thread rejoins the runqueue (any core may now take
