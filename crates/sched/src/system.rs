@@ -809,11 +809,11 @@ impl System {
         // again, which is what makes idle quanta per execution quantum
         // geometric with mean p/(1-p).
         self.make_runnable(pinned);
-        if matches!(self.cores[core].run, CoreRun::InjectedIdle { .. }) {
-            // kick_idle_cores does not consider this core (it is not
-            // Idle), so schedule it explicitly.
-            self.schedule_core(core);
-        }
+        debug_assert!(
+            matches!(self.cores[core].run, CoreRun::InjectedIdle { .. }),
+            "kick_idle_cores schedules only Idle cores, so this one is still InjectedIdle"
+        );
+        self.schedule_core(core);
     }
 
     fn on_wakeup(&mut self, id: ThreadId) {

@@ -9,9 +9,10 @@ use dimetrodon_repro::harness::{characterize, Actuation, RunConfig, SaturatingWo
 use dimetrodon_repro::machine::{CoreId, Machine, MachineConfig};
 use dimetrodon_repro::policy::model::predicted_runtime;
 use dimetrodon_repro::policy::{DimetrodonHook, InjectionModel, InjectionParams, PolicyHandle};
-use dimetrodon_repro::sched::{System, ThreadKind};
+use dimetrodon_repro::sched::{BsdScheduler, SchedConfig, System, ThreadKind};
 use dimetrodon_repro::sim::{SimDuration, SimTime};
 use dimetrodon_repro::workload::{CpuBurn, SpecBenchmark};
+use proptest::prelude::*;
 
 fn quick(seed: u64) -> RunConfig {
     RunConfig {
@@ -86,6 +87,53 @@ fn analytic_model_predicts_simulated_runtime() {
         (measured - predicted).abs() / predicted < 0.25,
         "measured {measured} vs predicted {predicted}"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The §2.2 model `D(t) = R + S·p/(1−p)·L` (`S = R/q`) against the
+    /// simulator over random (p, L), with deterministic injection so each
+    /// case is exact. Two known costs bound the difference:
+    /// - the thread exits in the quantum of its last run decision, which
+    ///   leaves the error-diffusion accumulator `a` in `[p, 1)`; the thread
+    ///   gets `a/(1−p)` fewer idle quanta than `D(t)` counts, between
+    ///   `p/(1−p)` and `1/(1−p)`;
+    /// - each of its at most `S/(1−p)` decisions may pay a context switch
+    ///   and a resume penalty.
+    #[test]
+    fn analytic_model_bounds_deterministic_runtime(p in 0.1..=0.75, l_ms in 1.0..=100.0) {
+        let work = SimDuration::from_secs(5);
+        let idle_quantum = SimDuration::from_secs_f64(l_ms / 1e3);
+        let policy = PolicyHandle::new();
+        policy.set_global(Some(InjectionParams::new(p, idle_quantum)));
+        let mut machine = Machine::new(MachineConfig::xeon_e5520()).expect("preset");
+        machine.settle_idle();
+        let mut system = System::new(machine);
+        system.set_hook(Box::new(DimetrodonHook::with_model(
+            policy,
+            InjectionModel::Deterministic,
+            7,
+        )));
+        let id = system.spawn(ThreadKind::User, Box::new(CpuBurn::finite(work)));
+        prop_assert!(system.run_until_exited(&[id], SimTime::from_secs(60)));
+        let measured = system.thread_stats(id).wall_time().expect("exited").as_secs_f64();
+
+        let (r, q, l) = (
+            work.as_secs_f64(),
+            BsdScheduler::TIMESLICE.as_secs_f64(),
+            idle_quantum.as_secs_f64(),
+        );
+        let predicted = predicted_runtime(r, q, p, l);
+        let costs = SchedConfig::default();
+        let per_decision = (costs.switch_cost + costs.resume_penalty).as_secs_f64();
+        let lowest = predicted - l / (1.0 - p);
+        let highest = predicted - l * p / (1.0 - p) + r / q / (1.0 - p) * per_decision;
+        prop_assert!(
+            lowest < measured && measured <= highest,
+            "measured {measured} s outside ({lowest}, {highest}] around D(t) = {predicted} s"
+        );
+    }
 }
 
 #[test]
